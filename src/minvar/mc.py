@@ -145,8 +145,7 @@ def run_trial(cfg: TrialConfig) -> SampleMetrics:
     ref = true_optimum(uni)
     q0_tilde_hat = float(sig2 @ (w * w)) / ref.risk
     # zero threshold scales with the mean weight budget/N, which is 1 here
-    wtol = WEIGHT_ZERO_RTOL * (n / n)
-    zero_fraction = float(np.mean(np.abs(w) <= wtol))
+    zero_fraction = float(np.mean(np.abs(w) <= WEIGHT_ZERO_RTOL))
     return SampleMetrics(
         r=r,
         t=cfg.t,

@@ -7,27 +7,35 @@ budget plane intersects its null space the minimum is exactly zero, the
 solution is non-unique, and the reported weights are the minimum-norm
 representative with the degeneracy flagged rather than regularized away.
 
-The nonnegative problem uses a primal active-set method: start from the
-feasible equal-weight point, repeatedly solve the equality-restricted KKT
-system on the free coordinates, take the minimum-ratio step when a free
-weight would cross zero (that bound joins the working set), and release
-the working-set bound with the most negative multiplier when the
-restricted optimum is feasible. Lowest index breaks ties. Singular
-restricted KKT systems fall back to a least-squares solve, which is exact
-here because a bounded-below convex restriction always has a consistent
-stationarity system.
+The nonnegative problem is Wolfe's min-norm-point algorithm written in
+weights (C = X X' / T makes w' C w the squared norm of a point in the
+convex hull of the scaled asset vectors). The free set, the "corral",
+starts at the single asset of smallest variance. A major step adds the
+outside asset with the most negative multiplier 2 (C w)_j - lam; minor
+steps move toward the corral's affine minimizer and drop the member that
+would cross zero first. The affine minimizer comes from a Cholesky factor
+of M = C_ff + rho 11' with rho = trace(C)/N: on the budget plane
+w' M w = w' C w + rho budget^2, so the shift moves no optimum, and M is
+positive definite exactly when the corral's asset vectors are affinely
+independent. An add appends one row to the factor (one triangular solve),
+a drop restores it with Givens rotations; both cost O(k^2) for k free
+assets. An outside asset that lies in the corral's affine hull would give
+a zero pivot, so it first swaps weight with the member it can replace.
+The brute-force oracle keeps its own dense KKT solve.
 
 No ridge, no jitter: a flat optimum is reported as flat.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import qr_delete
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -44,6 +52,9 @@ __all__ = [
 RANK_RTOL = 1e-10
 # an objective below ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
+# a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
+# corral's affine hull; it is swapped in, never pivoted on
+PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,9 +137,12 @@ class QpResult:
     `active_set` lists the indices pinned at zero (always empty for the
     equality-only problem). `degenerate` marks a zero-variance optimum;
     `flat_directions` counts the covariance null-space dimensions along
-    which the optimum is flat (N - rank(C) when degenerate, else 0), and
-    the reported weights are then the minimum-norm representative.
-    `lam` is the budget multiplier of the final KKT system.
+    which the optimum is flat (N - rank(C) when degenerate, else 0). A
+    flat optimum is not unique: the equality solver reports its
+    minimum-norm representative, the no-short solver a vertex-like point
+    with at most rank(C) + 1 nonzero weights. `lam` is the budget
+    multiplier at the solution. `iterations` counts the no-short solver's
+    active-set steps (adds plus drops) and is 0 for the other solvers.
     """
 
     weights: np.ndarray
@@ -138,6 +152,7 @@ class QpResult:
     flat_directions: int
     constraint: str
     lam: float
+    iterations: int = 0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -213,6 +228,8 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
 def _kkt_solve(cff: np.ndarray, b: float):
     """Stationary point of min w' Cff w, sum(w) = b; least squares if singular.
 
+    The brute-force oracle's solve, kept apart from the active-set solver.
+
     Returns (w, lam). The least-squares branch is exact: the restricted
     problem is convex and bounded below, so its KKT system is consistent
     and lstsq picks the minimum-norm stationary pair.
@@ -238,13 +255,94 @@ def _kkt_solve(cff: np.ndarray, b: float):
     return sol[:k], float(sol[k])
 
 
-def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpResult:
-    """Minimize w' C w with sum(w) = budget and w >= 0, by primal active set.
+class _Corral:
+    """Free set of the no-short solver with a Cholesky factor of its M block.
 
-    Weights in the working set are exactly zero in the result. Flat
-    (zero-variance) optima are detected from the final objective against
-    the scaled threshold and flagged, never regularized. Raises
-    ActiveSetError if the iteration cap (50 N) is exhausted.
+    M = C_ff + rho 11' over the members, in factor order. The upper factor
+    R (M = R'R) is packed by columns, so an add appends one column and the
+    triangular solves read a prefix of the buffer without copying; y holds
+    R'^-1 1, which gives the affine minimizer through one more solve.
+    """
+
+    def __init__(self, cm: np.ndarray, rho: float, i0: int):
+        n = cm.shape[0]
+        self.cm = cm
+        self.rho = rho
+        self.idx = np.empty(n, dtype=np.intp)
+        self.mask = np.zeros(n, dtype=bool)
+        self.rp = np.empty(n * (n + 1) // 2)
+        self.y = np.empty(n)
+        self.idx[0] = i0
+        self.mask[i0] = True
+        self.rp[0] = math.sqrt(cm[i0, i0] + rho)
+        self.y[0] = 1.0 / self.rp[0]
+        self.k = 1
+
+    @property
+    def members(self) -> np.ndarray:
+        return self.idx[: self.k]
+
+    def pivot(self, j: int) -> tuple[np.ndarray, float, float]:
+        """New factor column l of asset j, its squared pivot d2, and M_jj."""
+        mjj = self.cm[j, j] + self.rho
+        l = dtpsv(self.k, self.rp, self.cm[j, self.members] + self.rho, trans=1)
+        return l, mjj - float(l @ l), mjj
+
+    def coefficients(self, l: np.ndarray) -> np.ndarray:
+        """M^-1 m_j from the column l = R'^-1 m_j that `pivot` returned."""
+        return dtpsv(self.k, self.rp, l)
+
+    def add(self, j: int, l: np.ndarray, d2: float) -> None:
+        k = self.k
+        d = math.sqrt(d2)
+        off = k * (k + 1) // 2
+        self.rp[off : off + k] = l
+        self.rp[off + k] = d
+        self.y[k] = (1.0 - float(l @ self.y[:k])) / d
+        self.idx[k] = j
+        self.mask[j] = True
+        self.k = k + 1
+
+    def drop(self, q: int) -> None:
+        """Remove the member at factor position q."""
+        k = self.k
+        self.mask[self.idx[q]] = False
+        self.idx[q : k - 1] = self.idx[q + 1 : k]
+        # deleting column q of R leaves a Hessenberg block below row q;
+        # Givens rotations (qr_delete) make it triangular again in O(k^2)
+        r = dtpttr(k, self.rp[: k * (k + 1) // 2])[0]
+        r[q:, q + 1 :] = qr_delete(
+            np.eye(k - q), r[q:, q:], 0, which="col", check_finite=False
+        )[1]
+        k -= 1
+        self.rp[: k * (k + 1) // 2] = dtrttp(np.delete(r[:k], q, axis=1))[0]
+        self.y[:k] = dtpsv(k, self.rp, np.ones(k), trans=1)
+        self.k = k
+
+    def affine_minimizer(self, b: float) -> np.ndarray:
+        """argmin v' C v over sum(v) = b, supported on the members."""
+        y = self.y[: self.k]
+        return (b / float(y @ y)) * dtpsv(self.k, self.rp, y)
+
+
+def _first_blocking(ratios: np.ndarray, members: np.ndarray) -> int:
+    """Position of the smallest ratio; the lowest asset index breaks ties."""
+    ties = np.flatnonzero(ratios == ratios.min())
+    return int(ties[np.argmin(members[ties])])
+
+
+def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpResult:
+    """Minimize w' C w with sum(w) = budget and w >= 0, by a vertex-start active set.
+
+    Wolfe's min-norm-point method in weight form. The corral starts as the
+    single asset of smallest variance; each major step adds the outside
+    asset with the most negative multiplier, and minor steps drop the
+    corral member that blocks the way to the corral's affine minimizer.
+    Assets outside the corral have exactly zero weight in the result, and
+    `iterations` counts adds plus drops. Flat (zero-variance) optima are
+    detected from the final objective against the scaled threshold and
+    flagged, never regularized; they end with at most rank(C) + 1 corral
+    members. Raises ActiveSetError if the step cap (50 N) is exhausted.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -253,56 +351,92 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         raise ValueError("budget must be nonnegative")
     cap = 50 * n if max_iter is None else max_iter
     cm = cov.matrix
-
-    free = np.ones(n, dtype=bool)
-    w = np.full(n, b / n)
-    lam = 0.0
-    mu_scale = 2.0 * max(float(np.trace(cm)) / n, 1e-300) * max(abs(b), 1.0)
-    tol_mu = 1e-10 * mu_scale
+    rho = max(float(np.trace(cm)) / n, 1e-300)
+    tol_mu = 1e-10 * 2.0 * rho * max(abs(b), 1.0)
     tol_w = 1e-12 * max(abs(b), 1.0)
 
-    for _ in range(cap):
-        f_idx = np.flatnonzero(free)
-        w_hat, lam = _kkt_solve(cm[np.ix_(f_idx, f_idx)], b)
-        if w_hat.min(initial=np.inf) >= -tol_w:
-            w[:] = 0.0
-            w[f_idx] = np.maximum(w_hat, 0.0)
-            a_idx = np.flatnonzero(~free)
-            if a_idx.size == 0:
-                break
-            mu = 2.0 * (cm[a_idx] @ w) - lam
-            j = int(np.argmin(mu))
-            if mu[j] >= -tol_mu:
-                break
-            free[a_idx[j]] = True  # release the most negative multiplier
-        else:
-            # minimum-ratio step toward the restricted optimum
-            w_f = w[f_idx]
-            blocked = w_hat < -tol_w
-            ratios = np.full(f_idx.size, np.inf)
-            ratios[blocked] = w_f[blocked] / (w_f[blocked] - w_hat[blocked])
-            j = int(np.argmin(ratios))
-            alpha = min(max(ratios[j], 0.0), 1.0)
-            w[f_idx] = w_f + alpha * (w_hat - w_f)
-            w[f_idx[j]] = 0.0
-            free[f_idx[j]] = False
-    else:
-        raise ActiveSetError(
-            f"active-set cap {cap} reached",
-            iterate=np.flatnonzero(~free).tolist(),
-            residual=None,
+    i0 = int(np.argmin(np.diagonal(cm)))
+    corral = _Corral(cm, rho, i0)
+    w = np.zeros(n)
+    w[i0] = b
+    steps = 0
+
+    def failure(reason: str, mu_min: float) -> ActiveSetError:
+        gap = abs(float(np.sum(w)) - b)
+        return ActiveSetError(
+            f"{reason} with {corral.k} assets free, most negative "
+            f"multiplier {mu_min:.3e}, budget gap {gap:.3e}",
+            iterate=corral.members.tolist(),
+            residual=(mu_min, gap),
         )
 
-    obj = max(float(w @ cm @ w), 0.0)
+    def count_step(mu_min: float) -> None:
+        nonlocal steps
+        if steps >= cap:
+            raise failure(f"active-set cap {cap} reached", mu_min)
+        steps += 1
+
+    while True:
+        g = cm @ w
+        lam = 2.0 * float(w @ g) / b if b > 0 else 0.0
+        mu = 2.0 * g - lam
+        mu[corral.mask] = np.inf
+        j = int(np.argmin(mu))
+        if not mu[j] < -tol_mu:
+            break
+        mu_min = float(mu[j])
+        count_step(mu_min)
+        l, d2, mjj = corral.pivot(j)
+        if d2 <= PIVOT_RTOL * mjj:
+            # j lies (numerically) in the corral's affine hull, x_j = X_f c
+            # with sum(c) = 1: move weight onto j along the objective-neutral
+            # direction e_j - c and drop the member that empties first, whose
+            # coefficient is clear of rounding, so j pivots on a nonzero
+            f = corral.members
+            coef = corral.coefficients(l)
+            ratios = np.full(corral.k, np.inf)
+            pos = coef > 1e-9
+            ratios[pos] = w[f[pos]] / coef[pos]
+            q = _first_blocking(ratios, f)
+            t = ratios[q]
+            w[f] = np.maximum(w[f] - t * coef, 0.0)
+            w[f[q]] = 0.0
+            w[j] = t
+            count_step(mu_min)
+            corral.drop(q)
+            l, d2, mjj = corral.pivot(j)
+            if not d2 > 0.0:
+                raise failure(f"asset {j} stays affinely dependent", mu_min)
+        corral.add(j, l, d2)
+        while True:
+            v = corral.affine_minimizer(b)
+            f = corral.members
+            if v.min() >= -tol_w:
+                w[f] = np.maximum(v, 0.0)
+                break
+            count_step(mu_min)
+            # minimum-ratio step toward the affine minimizer
+            w_f = w[f]
+            blocked = v < -tol_w
+            ratios = np.full(corral.k, np.inf)
+            ratios[blocked] = w_f[blocked] / (w_f[blocked] - v[blocked])
+            q = _first_blocking(ratios, f)
+            alpha = min(max(ratios[q], 0.0), 1.0)
+            w[f] = w_f + alpha * (v - w_f)
+            w[f[q]] = 0.0
+            corral.drop(q)
+
+    obj = max(float(w @ g), 0.0)
     degen = obj < cov.tol_zero
     return QpResult(
         weights=w,
         objective=obj,
-        active_set=tuple(int(i) for i in np.flatnonzero(~free)),
+        active_set=tuple(int(i) for i in np.flatnonzero(~corral.mask)),
         degenerate=degen,
         flat_directions=(n - cov.rank) if degen else 0,
         constraint="noshort",
         lam=lam,
+        iterations=steps,
     )
 
 

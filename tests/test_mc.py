@@ -5,6 +5,8 @@ independence), per-trial observables against direct computation, and the
 small-sample physics that has exact finite-size answers.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,22 @@ def test_zero_variance_probability_wrapper():
     b = sweep(UNI, [2.5], trials=30, constraint="noshort", seed=3)
     assert a == b
     assert a.points[0].zero_variance_probability > 0.8
+
+
+@pytest.mark.parametrize("n,t", [(50, 22), (50, 25), (100, 45), (100, 50)])
+def test_zero_variance_frequency_matches_wendel(n, t):
+    # Wendel (1962): N symmetric points in general position in R^T have the
+    # origin in their convex hull with probability P(Bin(N-1, 1/2) >= T),
+    # for any positive row scaling. That is the exact finite-size chance
+    # that the no-short problem has a zero-variance portfolio.
+    trials = 400
+    p = sum(math.comb(n - 1, k) for k in range(t, n)) / 2 ** (n - 1)
+    point = zero_variance_probability(
+        AssetUniverse.constant(1.0, n), [n / t], trials=trials, seed=0
+    ).points[0]
+    assert point.t == t
+    se = math.sqrt(p * (1.0 - p) / trials)
+    assert abs(point.zero_variance_probability - p) <= 3.0 * se
 
 
 def test_keep_weights_and_histogram():

@@ -7,12 +7,16 @@ calculations and its own degeneracy certificates.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minvar import (
+    ActiveSetError,
     AssetUniverse,
     CovarianceError,
     CovMatrix,
+    TrialConfig,
     brute_force_noshort,
+    generate_returns,
     kkt_residual,
     min_variance_equality,
     min_variance_noshort,
@@ -262,6 +266,92 @@ def test_kkt_residual_detects_perturbation():
     w[1] -= 1e-3
     bad = dataclasses.replace(res, weights=w)
     assert kkt_residual(c, bad, 3.0) > 1e-4
+
+
+def _panel_cov(n, t, seed, duplicate, sigma_spread):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, t))
+    if duplicate and n >= 2:
+        x[n - 1] = x[0]
+    x *= np.exp(sigma_spread * rng.standard_normal(n))[:, None]
+    return CovMatrix.from_returns(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    t=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+    sigma_spread=st.floats(0.0, 1.0),
+    budget=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+)
+@example(n=1, t=3, seed=0, duplicate=False, sigma_spread=0.0, budget=1.0)
+@example(n=6, t=1, seed=1, duplicate=False, sigma_spread=0.5, budget=2.0)
+@example(n=5, t=8, seed=2, duplicate=True, sigma_spread=0.0, budget=1.0)
+@example(n=4, t=6, seed=3, duplicate=False, sigma_spread=0.3, budget=0.0)
+def test_noshort_matches_brute_force_on_panels(n, t, seed, duplicate, sigma_spread, budget):
+    # T < N gives rank-deficient covariances, a repeated asset row puts an
+    # affinely dependent asset next to the free set, T = 1 makes C rank one.
+    c = _panel_cov(n, t, seed, duplicate, sigma_spread)
+    res = min_variance_noshort(c, budget)
+    ref = brute_force_noshort(c, budget)
+    assert abs(res.objective - ref.objective) <= 1e-10 * (1.0 + ref.objective)
+    assert kkt_residual(c, res, budget) <= 1e-8
+    assert min(res.weights) >= 0.0
+    assert sum(res.weights) == pytest.approx(budget, abs=1e-10 * max(budget, 1.0))
+    assert res.degenerate == (res.objective < c.tol_zero)
+
+
+def test_noshort_near_duplicate_asset_swaps_into_free_set():
+    # The last asset is a copy of the heaviest one shrunk by 1e-7: it is
+    # strictly better but numerically inside the free set's affine hull, so
+    # its Cholesky pivot is ~0 and it has to replace its twin, not join it.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 10))
+        heavy = int(np.argmax(brute_force_noshort(CovMatrix.from_returns(x), 1.0).weights))
+        x = np.vstack([np.delete(x, heavy, axis=0), (1.0 - 1e-7) * x[heavy]])
+        c = CovMatrix.from_returns(x)
+        res = min_variance_noshort(c, 1.0)
+        ref = brute_force_noshort(c, 1.0)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-14)
+        assert kkt_residual(c, res, 1.0) <= 1e-12
+        assert res.weights[-1] > 0.0
+
+
+def test_noshort_cap_reports_free_set_and_residual():
+    c = CovMatrix.from_matrix(np.eye(5))
+    assert min_variance_noshort(c, 5.0).iterations == 4  # four adds, no drop
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(c, 5.0, max_iter=2)
+    err = info.value
+    assert err.iterate == [0, 1, 2]  # the start plus two adds
+    mu_min, gap = err.residual
+    assert mu_min < 0.0
+    assert gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_iterations_zero_outside_the_active_set():
+    c = CovMatrix.from_matrix(np.diag([1.0, 4.0, 2.0]))
+    assert min_variance_equality(c, 3.0).iterations == 0
+    assert brute_force_noshort(c, 3.0).iterations == 0
+
+
+@pytest.mark.parametrize("r", [1.0, 1.9, 2.5])
+def test_noshort_n400_kkt_and_flat_support(r):
+    n = 400
+    uni = AssetUniverse.constant(1.0, n)
+    for trial in range(2):
+        cfg = TrialConfig(universe=uni, t=round(n / r), constraint="noshort",
+                          seed=11, trial_index=trial)
+        c = CovMatrix.from_returns(generate_returns(cfg))
+        res = min_variance_noshort(c, float(n))
+        assert kkt_residual(c, res, float(n)) <= 1e-8
+        assert res.degenerate == (res.objective < c.tol_zero)
+        if res.degenerate:
+            assert np.count_nonzero(res.weights) <= c.rank + 1
+            assert n - len(res.active_set) <= c.rank + 1
 
 
 def test_brute_force_guards():
