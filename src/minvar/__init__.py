@@ -40,7 +40,6 @@ from .theory import (
     AssetUniverse,
     CriticalPoint,
     OptimalPortfolio,
-    PerAssetLaw,
     RegularizerParams,
     ReplicaSolution,
     critical_asymptotics,
@@ -55,7 +54,6 @@ from .theory import (
 from .weights import (
     WeightMixture,
     build_mixture,
-    elimination_probabilities,
     sample_weights,
 )
 
@@ -68,7 +66,6 @@ __all__ = [
     "PhaseBoundaryError",
     "AssetUniverse",
     "RegularizerParams",
-    "PerAssetLaw",
     "ReplicaSolution",
     "OptimalPortfolio",
     "CriticalPoint",
@@ -82,7 +79,6 @@ __all__ = [
     "critical_asymptotics",
     "WeightMixture",
     "build_mixture",
-    "elimination_probabilities",
     "sample_weights",
     "CovMatrix",
     "QpResult",

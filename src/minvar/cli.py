@@ -36,7 +36,7 @@ from .errors import (
     NoConvergenceError,
     PhaseBoundaryError,
 )
-from .mc import sweep
+from .mc import WEIGHT_ZERO_RTOL, sweep
 from .theory import (
     AssetUniverse,
     RegularizerParams,
@@ -280,26 +280,6 @@ SIMULATE_FIELDS = [
 ]
 
 
-def _point_row(p) -> dict:
-    return {
-        "r_requested": p.r_requested,
-        "r": p.r,
-        "t": p.t,
-        "n": p.n,
-        "trials": p.trials,
-        "lambda_hat_mean": p.lambda_hat_mean,
-        "lambda_hat_se": p.lambda_hat_se,
-        "q0_tilde_hat_mean": p.q0_tilde_hat_mean,
-        "q0_tilde_hat_se": p.q0_tilde_hat_se,
-        "zero_fraction_mean": p.zero_fraction_mean,
-        "zero_fraction_se": p.zero_fraction_se,
-        "objective_mean": p.objective_mean,
-        "objective_se": p.objective_se,
-        "zero_variance_probability": p.zero_variance_probability,
-        "zero_variance_se": p.zero_variance_se,
-    }
-
-
 def cmd_simulate(args) -> int:
     if args.eta1 is not None or args.eta2 is not None:
         raise UsageError(
@@ -324,7 +304,7 @@ def cmd_simulate(args) -> int:
         universe, grid, args.trials, constraint=args.constraint,
         seed=args.seed, threads=args.threads,
     )
-    rows = [_point_row(p) for p in summary.points]
+    rows = [{f: getattr(p, f) for f in SIMULATE_FIELDS} for p in summary.points]
     write_rows(args.out, spec, SIMULATE_FIELDS, rows, args.format)
     return EXIT_OK
 
@@ -354,18 +334,7 @@ def cmd_phase(args) -> int:
         universe, grid, args.trials, constraint="noshort",
         seed=args.seed, threads=args.threads,
     )
-    rows = [
-        {
-            "r_requested": p.r_requested,
-            "r": p.r,
-            "t": p.t,
-            "n": p.n,
-            "trials": p.trials,
-            "zero_variance_probability": p.zero_variance_probability,
-            "zero_variance_se": p.zero_variance_se,
-        }
-        for p in summary.points
-    ]
+    rows = [{f: getattr(p, f) for f in PHASE_FIELDS} for p in summary.points]
     write_rows(args.out, spec, PHASE_FIELDS, rows, args.format)
     return EXIT_OK
 
@@ -426,14 +395,12 @@ def cmd_weights(args) -> int:
             )
             continue
         mix = build_mixture(sol)
-        a = np.array([l.center_pos for l in mix.laws])
-        b = np.array([l.center_neg for l in mix.laws])
-        s = np.array([l.spread for l in mix.laws])
-        hi_w = float(np.max(a + 8.0 * s))
+        b, s = mix.center_neg, mix.spread
+        hi_w = float(np.max(mix.center_pos + 8.0 * s))
         lo_w = 0.0 if np.all(np.isinf(b)) else min(0.0, float(np.min(b - 8.0 * s)))
         mc_atom = None
         if pooled is not None:
-            at_zero = np.abs(pooled) <= 1e-8
+            at_zero = np.abs(pooled) <= WEIGHT_ZERO_RTOL
             mc_atom = float(np.mean(at_zero))
             live = pooled[~at_zero]
             if live.size:

@@ -29,7 +29,9 @@ multiplier (twice the free energy at the relevant corners), `delta` the
 response susceptibility, `q0` the overlap whose rescaling
 q0_tilde = q0 * c2 measures out-of-sample risk inflation relative to the
 noiseless optimum, and (`q0_hat`, `delta_hat`) the conjugate pair with
-q0_hat < 0 < delta_hat at every solution.
+q0_hat < 0 < delta_hat at every solution. Per-asset quantities (each
+asset's weight law on `ReplicaSolution`, the noiseless weights on
+`OptimalPortfolio`) are read-only float arrays in universe order.
 
 Outside its phase a branch raises instead of extrapolating:
 PhaseBoundaryError at r >= 1 for the unconstrained branch,
@@ -52,7 +54,6 @@ from .special import norm_cdf, norm_cdf_int, norm_cdf_int2, norm_pdf
 __all__ = [
     "AssetUniverse",
     "RegularizerParams",
-    "PerAssetLaw",
     "ReplicaSolution",
     "OptimalPortfolio",
     "CriticalPoint",
@@ -162,27 +163,13 @@ class RegularizerParams:
 
 
 @dataclass(frozen=True)
-class PerAssetLaw:
-    """Asymptotic law of one asset's estimated weight.
+class OptimalPortfolio:
+    """Noiseless minimum-variance weights and their risk sum(sigma_i^2 w_i^2).
 
-    The weight distribution of asset i is a Gaussian of spread `spread`
-    centered at `center_pos` on w > 0 and at `center_neg` on w < 0, with
-    the remaining mass `elim_prob` condensed on w = 0 exactly.
-    `center_neg` is +inf when the negative side carries no mass.
+    `weights` is a read-only array in universe order.
     """
 
-    sigma: float
-    center_pos: float
-    center_neg: float
-    spread: float
-    elim_prob: float
-
-
-@dataclass(frozen=True)
-class OptimalPortfolio:
-    """Noiseless minimum-variance weights and their risk sum(sigma_i^2 w_i^2)."""
-
-    weights: tuple[float, ...]
+    weights: np.ndarray
     risk: float
 
 
@@ -224,8 +211,13 @@ class ReplicaSolution:
         noiseless optimum; >= 1, diverging at the phase boundary.
     n0 : float
         Fraction of assets whose weight condenses exactly at zero.
-    per_asset : tuple of PerAssetLaw
-        Weight law of each asset, in universe order.
+    center_pos, center_neg, spread, elim_prob : np.ndarray
+        Weight law of each asset, in universe order, as read-only arrays:
+        asset i's weight is a Gaussian of spread `spread[i]` centered at
+        `center_pos[i]` on w > 0 and at `center_neg[i]` on w < 0, with the
+        remaining mass `elim_prob[i]` condensed on w = 0 exactly.
+        `center_neg` is +inf where the negative side carries no mass; the
+        mean of `elim_prob` is n0.
     """
 
     r: float
@@ -239,7 +231,10 @@ class ReplicaSolution:
     n0: float
     universe: AssetUniverse
     reg: RegularizerParams
-    per_asset: tuple[PerAssetLaw, ...]
+    center_pos: np.ndarray
+    center_neg: np.ndarray
+    spread: np.ndarray
+    elim_prob: np.ndarray
 
     def __post_init__(self):
         ok = (
@@ -253,6 +248,10 @@ class ReplicaSolution:
         )
         if not ok:
             raise ValueError("order parameters violate saddle-point invariants")
+        for name in ("center_pos", "center_neg", "spread", "elim_prob"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def order_params(self) -> tuple[float, float, float, float, float]:
@@ -269,7 +268,8 @@ def true_optimum(universe) -> OptimalPortfolio:
     uni = as_universe(universe)
     c2 = uni.mean_inv_var
     w = 1.0 / (uni._sig**2 * c2)
-    return OptimalPortfolio(weights=tuple(float(v) for v in w), risk=uni.n / c2)
+    w.flags.writeable = False
+    return OptimalPortfolio(weights=w, risk=uni.n / c2)
 
 
 def _tail_terms(lam: float, u: float, uni: AssetUniverse, reg: RegularizerParams):
@@ -319,16 +319,6 @@ def _assemble(uni, reg, r, lam, u) -> ReplicaSolution:
         w_neg = (lam + reg.eta2) * r * v / sig**2
         elim = norm_cdf(b2) - norm_cdf(b1)
     n0 = float(np.mean(elim))
-    per_asset = tuple(
-        PerAssetLaw(
-            sigma=float(sig[i]),
-            center_pos=float(w_pos[i]),
-            center_neg=float(w_neg[i]),
-            spread=float(spread[i]),
-            elim_prob=float(elim[i]),
-        )
-        for i in range(uni.n)
-    )
     op = (lam, q0, delta, q0_hat, delta_hat)
     f = free_energy_functional(op, uni, r, reg)
     return ReplicaSolution(
@@ -343,7 +333,10 @@ def _assemble(uni, reg, r, lam, u) -> ReplicaSolution:
         n0=n0,
         universe=uni,
         reg=reg,
-        per_asset=per_asset,
+        center_pos=w_pos,
+        center_neg=w_neg,
+        spread=spread,
+        elim_prob=elim,
     )
 
 
@@ -375,7 +368,9 @@ def noshort_lambda(universe, r: float) -> float:
     cdf integral. The root find runs in s = sqrt(lam), where the equation
     stays well conditioned all the way into the critical region, on the
     bracket (0, s_up] with s_up from the bound W(x) > (x^2 + 1)/4 for x > 0.
-    A final Newton step in lam polishes the residual below 1e-12.
+    A final Newton step in lam polishes the residual below
+    1e-12 * max(1, 1/(2r)): absolute for r >= 1/2, relative to the target
+    below, where the target outgrows what double precision resolves to 1e-12.
     """
     uni = as_universe(universe)
     if r <= 0:
@@ -388,12 +383,7 @@ def noshort_lambda(universe, r: float) -> float:
         )
     sig = uni._sig
     target = 0.5 / r
-
-    def h(s):
-        return float(np.mean(norm_cdf_int2(s / sig))) - target
-
-    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    s = optimize.brentq(h, 0.0, s_up, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    s = _noshort_root(uni, r)
     lam = s * s
     if lam > 0:
         # one Newton step in lam; dW/dlam = Psi(s/sigma) / (2 sigma s)
@@ -403,11 +393,25 @@ def noshort_lambda(universe, r: float) -> float:
         if abs(step) < 0.5 * lam:
             lam = lam - step
     residual = abs(float(np.mean(norm_cdf_int2(math.sqrt(lam) / sig))) - target)
-    if residual > 1e-12:
+    if residual > 1e-12 * max(1.0, target):
         raise NoConvergenceError(
-            "multiplier root residual above 1e-12", iterate=lam, residual=residual
+            "multiplier root residual above 1e-12 * max(1, 1/(2r))",
+            iterate=lam,
+            residual=residual,
         )
     return float(lam)
+
+
+def _noshort_root(uni: AssetUniverse, r: float) -> float:
+    """Root s = sqrt(lam) of mean_i W(s/sigma_i) = 1/(2r) on (0, s_up], 0 < r < 2."""
+    sig = uni._sig
+    target = 0.5 / r
+
+    def h(s):
+        return float(np.mean(norm_cdf_int2(s / sig))) - target
+
+    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
+    return optimize.brentq(h, 0.0, s_up, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 def noshort_solution(universe, r: float) -> ReplicaSolution:
@@ -481,14 +485,7 @@ def _initial_guesses(uni, r, reg):
     out = []
     if r < 2:
         # banned-shorts anchor, shifted by the positive-side penalty
-        sig = uni._sig
-        target = 0.5 / r
-        s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-
-        def h(s):
-            return float(np.mean(norm_cdf_int2(s / sig))) - target
-
-        m0 = optimize.brentq(h, 0.0, s_up, xtol=1e-12, rtol=1e-12)
+        m0 = _noshort_root(uni, r)
         if m0 > 0:
             out.append((m0 * m0 + reg.eta1, m0))
     if r < 1:

@@ -6,7 +6,9 @@ one center and to the negative axis around another (the two centers
 coincide when no penalty separates the sides), plus a point mass at
 exactly zero for the probability that the asset is eliminated from the
 portfolio. Pooling over assets gives the mixture this module evaluates,
-integrates, and samples.
+integrates, and samples. Its per-asset parameters are the solution's
+arrays `center_pos`, `center_neg` and `spread`, and every method is one
+vectorised pass over them.
 
 Sampling needs no rejection loop. For one draw with centers (a, b),
 spread s and a shared standard normal z:
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import norm_cdf, norm_cdf_int, norm_pdf
-from .theory import PerAssetLaw, ReplicaSolution
+from .theory import ReplicaSolution
 
 __all__ = [
     "WeightMixture",
     "build_mixture",
-    "elimination_probabilities",
     "sample_weights",
 ]
 
@@ -41,38 +42,47 @@ __all__ = [
 class WeightMixture:
     """Pooled weight law: a zero atom of mass `atom` plus per-asset Gaussians.
 
-    `laws` holds one PerAssetLaw per asset; the continuous part carries
-    total mass 1 - atom. A law with center_neg = +inf has no negative
-    branch (hard short-sale ban).
+    Component i is a Gaussian of spread `spread[i]` truncated to w > 0
+    around `center_pos[i]` and to w < 0 around `center_neg[i]`; the three
+    are equal-length 1-d arrays, stored read-only. The continuous part
+    carries total mass 1 - atom. A component with center_neg = +inf has no
+    negative branch (hard short-sale ban).
     """
 
     atom: float
-    laws: tuple[PerAssetLaw, ...]
+    center_pos: np.ndarray
+    center_neg: np.ndarray
+    spread: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.atom <= 1.0:
             raise ValueError("atom mass must lie in [0, 1]")
-        if len(self.laws) == 0:
+        fields = {
+            name: np.array(getattr(self, name), dtype=float)
+            for name in ("center_pos", "center_neg", "spread")
+        }
+        if any(a.ndim != 1 for a in fields.values()):
+            raise ValueError("component parameters must be 1-d arrays")
+        if len({a.size for a in fields.values()}) != 1:
+            raise ValueError("component parameters must have equal lengths")
+        if fields["spread"].size == 0:
             raise ValueError("mixture needs at least one component")
-        if any(l.spread <= 0 for l in self.laws):
+        if np.any(fields["spread"] <= 0):
             raise ValueError("component spreads must be positive")
+        for name, a in fields.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
-        return len(self.laws)
-
-    def _arrays(self):
-        a = np.array([l.center_pos for l in self.laws])
-        b = np.array([l.center_neg for l in self.laws])
-        s = np.array([l.spread for l in self.laws])
-        return a, b, s
+        return self.center_pos.size
 
     def density(self, w):
         """Continuous part of the pooled density (the atom is not included)."""
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 0
         w2 = np.atleast_1d(w)[:, None]
-        a, b, s = self._arrays()
+        a, b, s = self.center_pos, self.center_neg, self.spread
         pos = np.where(w2 > 0, norm_pdf((w2 - a) / s) / s, 0.0)
         with np.errstate(invalid="ignore"):
             neg = np.where(w2 < 0, norm_pdf((w2 - b) / s) / s, 0.0)
@@ -83,7 +93,7 @@ class WeightMixture:
         """Continuous mass on [lo, hi); the zero atom is never included."""
         if hi <= lo:
             return 0.0
-        a, b, s = self._arrays()
+        a, b, s = self.center_pos, self.center_neg, self.spread
         mass = 0.0
         p_lo, p_hi = max(lo, 0.0), max(hi, 0.0)
         if p_hi > p_lo:
@@ -104,7 +114,7 @@ class WeightMixture:
         s * (Psi(a/s) - Psi(-b/s)) with Psi the integrated cdf; at a saddle
         point this averages to exactly 1, the budget per asset.
         """
-        a, b, s = self._arrays()
+        a, b, s = self.center_pos, self.center_neg, self.spread
         pos = s * norm_cdf_int(a / s)
         banned = np.isinf(b)
         # evaluate the negative branch only at finite centers; -inf would
@@ -115,7 +125,7 @@ class WeightMixture:
 
     def branch_masses(self) -> tuple[float, float]:
         """(positive, negative) continuous masses; they sum to 1 - atom."""
-        a, b, s = self._arrays()
+        a, b, s = self.center_pos, self.center_neg, self.spread
         pos = float(np.mean(norm_cdf(a / s)))
         neg = float(np.mean(norm_cdf(-b / s)))
         return pos, neg
@@ -123,16 +133,9 @@ class WeightMixture:
 
 def build_mixture(sol: ReplicaSolution) -> WeightMixture:
     """Pooled weight mixture of a saddle-point solution."""
-    return WeightMixture(atom=sol.n0, laws=sol.per_asset)
-
-
-def elimination_probabilities(sol: ReplicaSolution) -> np.ndarray:
-    """Per-asset probability of a weight condensed exactly at zero.
-
-    Equals Phi(-sqrt(lam)/sigma_i) under a short-sale ban: strictly
-    increasing in sigma_i and bounded by 1/2.
-    """
-    return np.array([law.elim_prob for law in sol.per_asset])
+    return WeightMixture(
+        atom=sol.n0, center_pos=sol.center_pos, center_neg=sol.center_neg, spread=sol.spread
+    )
 
 
 def sample_weights(mixture: WeightMixture, size: int, seed) -> np.ndarray:
@@ -144,7 +147,7 @@ def sample_weights(mixture: WeightMixture, size: int, seed) -> np.ndarray:
     pair plus atom without rejection.
     """
     gen = np.random.default_rng(seed)
-    a, b, s = mixture._arrays()
+    a, b, s = mixture.center_pos, mixture.center_neg, mixture.spread
     idx = gen.integers(0, mixture.n, size=size)
     z = gen.standard_normal(size)
     y1 = a[idx] + s[idx] * z

@@ -372,10 +372,7 @@ def test_criterion_10_weight_distribution(criterion_recorder):
     tail = (1.0 - sol.n0) - analytic.sum()
     l1 = float(np.sum(np.abs(h.masses - analytic))) + abs(tail)
     _check(fails, l1 < 0.05, f"L1 distance {l1:.4f} >= 0.05")
-    probs = [
-        law.elim_prob
-        for law in noshort_solution(AssetUniverse(sigmas=(1.0, 2.0, 4.0)), 1.0).per_asset
-    ]
+    probs = noshort_solution(AssetUniverse(sigmas=(1.0, 2.0, 4.0)), 1.0).elim_prob
     _check(
         fails, probs[0] < probs[1] < probs[2],
         f"elimination probabilities not increasing: {probs}",

@@ -147,6 +147,17 @@ def test_replica_refuses_boundary_rows_but_exits_zero(tmp_path):
     assert rows2[1]["status"] == "critical-boundary"
 
 
+def test_replica_small_ratios_solve(tmp_path):
+    # Targets 1/(2r) of 1e4..5e5, where an absolute 1e-12 root residual is
+    # below double-precision resolution.
+    out = tmp_path / "small.csv"
+    code = run_cli("replica", "--r-grid", "0.00001,0.00005,0.000001", "--out", str(out))
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert all(row["lambda"] > 0 for row in rows)
+
+
 def test_replica_eta_overrides(tmp_path):
     out = tmp_path / "eta.csv"
     code = run_cli(

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minvar import (
     AssetUniverse,
@@ -182,6 +183,26 @@ def test_noshort_solution_internal_consistency():
     assert sol.free_energy == pytest.approx(sol.lam / 2, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    log_r=st.floats(math.log(1e-8), math.log(1.99)),
+    sigmas=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
+)
+@example(log_r=math.log(1e-6), sigmas=[1.0])
+@example(log_r=math.log(5e-5), sigmas=[1.0])
+@example(log_r=math.log(1e-8), sigmas=[0.05, 20.0])
+def test_noshort_solution_small_r_relative_root(log_r, sigmas):
+    r = math.exp(log_r)
+    uni = AssetUniverse(sigmas=tuple(sigmas))
+    sol = noshort_solution(uni, r)
+    assert sol.lam > 0 and sol.q0 > 0 and sol.delta >= 0
+    assert sol.q0_hat < 0 < sol.delta_hat
+    assert 0.0 <= sol.n0 < 0.5
+    target = 0.5 / r
+    root = np.mean(norm_cdf_int2(np.sqrt(sol.lam) / np.asarray(uni.sigmas)))
+    assert abs(root - target) <= 1e-12 * target
+
+
 def test_noshort_scale_covariance():
     base = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
     r = 1.4
@@ -212,7 +233,7 @@ def test_noshort_monotonicity_in_r():
 def test_noshort_elimination_ordering():
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
     sol = noshort_solution(uni, 1.0)
-    probs = [law.elim_prob for law in sol.per_asset]
+    probs = sol.elim_prob
     assert probs[0] < probs[1] < probs[2]
 
 

@@ -12,7 +12,6 @@ from minvar import (
     AssetUniverse,
     WeightMixture,
     build_mixture,
-    elimination_probabilities,
     noshort_solution,
     sample_weights,
     unconstrained_solution,
@@ -35,15 +34,43 @@ def free_mix():
 
 
 def test_validation():
-    sol, mix = None, None
     uni = AssetUniverse.constant(1.0, 1)
-    law = noshort_solution(uni, 1.0).per_asset
+    sol = noshort_solution(uni, 1.0)
+    law = dict(center_pos=sol.center_pos, center_neg=sol.center_neg, spread=sol.spread)
     with pytest.raises(ValueError):
-        WeightMixture(atom=-0.1, laws=law)
+        WeightMixture(atom=-0.1, **law)
     with pytest.raises(ValueError):
-        WeightMixture(atom=1.5, laws=law)
+        WeightMixture(atom=1.5, **law)
     with pytest.raises(ValueError):
-        WeightMixture(atom=0.0, laws=())
+        WeightMixture(atom=0.0, center_pos=[], center_neg=[], spread=[])
+
+
+@pytest.mark.parametrize(
+    "law, match",
+    [
+        (dict(center_pos=[1.0, 2.0], center_neg=[np.inf], spread=[0.5, 0.5]), "equal lengths"),
+        (dict(center_pos=[1.0], center_neg=[np.inf], spread=[0.5, 0.5]), "equal lengths"),
+        (dict(center_pos=[[1.0]], center_neg=[[np.inf]], spread=[[0.5]]), "1-d"),
+        (dict(center_pos=1.0, center_neg=np.inf, spread=0.5), "1-d"),
+        (dict(center_pos=[1.0, 2.0], center_neg=[np.inf] * 2, spread=[0.5, 0.0]), "positive"),
+    ],
+)
+def test_validation_rejects_misaligned_components(law, match):
+    with pytest.raises(ValueError, match=match):
+        WeightMixture(atom=0.0, **law)
+
+
+def test_solution_and_mixture_are_read_only(noshort_mix):
+    sol, mix = noshort_mix
+    for name in ("center_pos", "center_neg", "spread", "elim_prob"):
+        assert getattr(sol, name).flags.writeable is False
+    for name in ("center_pos", "center_neg", "spread"):
+        assert getattr(mix, name).flags.writeable is False
+        assert np.array_equal(getattr(mix, name), getattr(sol, name))
+    src = np.array([1.0, 2.0])
+    own = WeightMixture(atom=0.0, center_pos=src, center_neg=src, spread=src)
+    src[0] = 5.0
+    assert own.center_pos[0] == 1.0
 
 
 def test_atom_equals_zero_fraction(noshort_mix):
@@ -84,7 +111,7 @@ def test_fine_partition_reconstructs_total_mass(noshort_mix):
     assert total + mix.atom == pytest.approx(1.0, abs=1e-9)
 
 
-def test_mean_is_budget_per_asset(noshort_mix, free_mix):
+def test_mean_is_unit_budget(noshort_mix, free_mix):
     for sol, mix in (noshort_mix, free_mix):
         # Saddle-point identity: the continuous part carries the whole
         # unit budget (the atom contributes zero).
@@ -96,13 +123,12 @@ def test_mean_is_budget_per_asset(noshort_mix, free_mix):
 def test_unconstrained_mixture_is_plain_gaussian(free_mix):
     sol, mix = free_mix
     assert mix.atom == 0.0
-    law = mix.laws[0]
-    assert law.center_neg == law.center_pos
+    assert mix.center_neg[0] == mix.center_pos[0]
     # Single unit-variance asset: the estimated weight is Gaussian around
     # the true weight 1 with variance q0 * r.
-    assert law.center_pos == pytest.approx(1.0, rel=1e-12)
+    assert mix.center_pos[0] == pytest.approx(1.0, rel=1e-12)
     spread = np.sqrt(sol.q0 * sol.r)
-    assert law.spread == pytest.approx(spread, rel=1e-12)
+    assert mix.spread[0] == pytest.approx(spread, rel=1e-12)
     ws = np.linspace(-4.0, 6.0, 41)
     ws = ws[ws != 0]
     expect = norm_pdf((ws - 1.0) / spread) / spread
@@ -112,9 +138,9 @@ def test_unconstrained_mixture_is_plain_gaussian(free_mix):
     assert neg > 0.1  # plenty of short positions without the ban
 
 
-def test_elimination_probabilities_increase_with_sigma(noshort_mix):
+def test_elim_prob_increases_with_sigma(noshort_mix):
     sol, _ = noshort_mix
-    probs = elimination_probabilities(sol)
+    probs = sol.elim_prob
     assert probs.shape == (3,)
     assert 0 < probs[0] < probs[1] < probs[2] < 0.5
     assert np.mean(probs) == pytest.approx(sol.n0, rel=1e-12)
