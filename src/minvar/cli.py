@@ -418,12 +418,12 @@ def cmd_weights(args) -> int:
              "w_lo": 0.0, "w_hi": 0.0, "analytic_mass": sol.n0,
              "mc_mass": mc_atom, "status": "ok"}
         )
+        masses = mix.bin_mass(edges)
         for k in range(len(edges) - 1):
-            lo_e, hi_e = float(edges[k]), float(edges[k + 1])
             rows.append(
                 {"r_requested": r_req, "r": r_here, "kind": "bin",
-                 "w_lo": lo_e, "w_hi": hi_e,
-                 "analytic_mass": mix.bin_mass(lo_e, hi_e),
+                 "w_lo": float(edges[k]), "w_hi": float(edges[k + 1]),
+                 "analytic_mass": float(masses[k]),
                  "mc_mass": (float(mc_masses[k]) if mc_masses[k] is not None else None),
                  "status": "ok"}
             )

@@ -1,11 +1,14 @@
 """Finite-size minimum-variance optimizers: budget equality, optional w >= 0.
 
 Solves min w' C w subject to sum(w) = budget, and optionally w >= 0, for a
-dense PSD covariance C. The equality problem is handled through one
-eigendecomposition, which also certifies rank: when C is singular and the
-budget plane intersects its null space the minimum is exactly zero, the
-solution is non-unique, and the reported weights are the minimum-norm
-representative with the degeneracy flagged rather than regularized away.
+dense PSD covariance C. Each covariance is factored once, by a pivoted
+Cholesky decomposition truncated at its numerical rank (LAPACK dpstrf),
+which certifies rank for both solvers. The equality problem is two
+triangular solves on a full-rank factor. When C is singular and the budget
+plane meets its null space, the minimum is exactly zero, the solution is
+non-unique, and the reported weights are the minimum-norm representative,
+found from a thin QR of the factor, with the degeneracy flagged rather
+than regularized away.
 
 The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr_delete
+from scipy.linalg import qr_delete, solve_triangular
 from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dtpttr, dtrttp
+from scipy.linalg.lapack import dpstrf, dtpttr, dtrttp
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -48,7 +51,10 @@ __all__ = [
     "brute_force_noshort",
 ]
 
-# eigenvalues below RANK_RTOL * max_eig count as zero when certifying rank
+# the pivoted Cholesky factor stops at the first squared pivot (a diagonal
+# entry of the remaining Schur complement) below RANK_RTOL * max_i C_ii; that
+# step count is the certified rank. An eigenvalue test at the same level
+# would agree except for eigenvalues within a small factor of the threshold.
 RANK_RTOL = 1e-10
 # an objective below ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
@@ -61,10 +67,13 @@ PIVOT_RTOL = 1e-12
 class CovMatrix:
     """Validated dense symmetric PSD matrix.
 
-    `undersampled` records whether the matrix came from fewer observations
-    than assets (None when unknown). Use `from_returns` for Gram matrices
-    of return samples (PSD by construction) and `from_matrix` for raw
-    arrays, which get symmetry- and spectrum-checked.
+    Its rank is certified by one pivoted Cholesky factor, computed on first
+    use and cached; the equality solver reuses the same factor. A pivoted
+    Cholesky factor cannot tell an indefinite matrix from a PSD one, so
+    `from_matrix` checks the spectrum of raw arrays (and their symmetry);
+    `from_returns` builds Gram matrices of return samples, PSD by
+    construction. `undersampled` records whether the matrix came from fewer
+    observations than assets (None when unknown).
     """
 
     matrix: np.ndarray
@@ -112,17 +121,18 @@ class CovMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return vals, vecs
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, piv) with C[piv][:, piv] = L L', L lower trapezoidal N x rank."""
+        m = self.matrix
+        top = float(np.max(np.diagonal(m)))
+        if top < 0.0:
+            raise CovarianceError("covariance has a negative diagonal")
+        f, piv, rank, _ = dpstrf(m, tol=RANK_RTOL * top, lower=1)
+        return np.tril(f[:, :rank]), piv - 1
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        vals = self._eig[0]
-        top = float(vals[-1])
-        if top <= 0.0:
-            return 0
-        return int(np.sum(vals > RANK_RTOL * top))
+        return self._factor[0].shape[1]
 
     @property
     def tol_zero(self) -> float:
@@ -167,30 +177,30 @@ def _as_cov(c) -> CovMatrix:
 def min_variance_equality(c, budget: float = None) -> QpResult:
     """Minimize w' C w on the plane sum(w) = budget (default budget = N).
 
-    Full-rank C gives the classic precision-weighted solution. If C is
-    singular and the budget plane meets the null space, the minimum is
-    exactly zero along an affine set; the minimum-norm point of that set
-    is returned with `degenerate` set and `flat_directions` = N - rank.
+    Full-rank C gives the classic precision-weighted solution, C^-1 1 from
+    two triangular solves on the pivoted Cholesky factor. If C is singular
+    and the budget plane meets the null space, the minimum is exactly zero
+    along an affine set; its minimum-norm point b z / |z|^2, with z the
+    part of 1 orthogonal to the factor's column space, is returned with
+    `degenerate` set and `flat_directions` = N - rank. In the measure-zero
+    corner where 1 lies in that column space the solution is b C^+ 1 / 1'C^+ 1.
     """
     cov = _as_cov(c)
     n = cov.n
     b = float(n if budget is None else budget)
-    vals, vecs = cov._eig
-    top = float(vals[-1])
-    if top < 0.0:
-        raise CovarianceError("covariance has negative spectrum")
-    thresh = RANK_RTOL * max(top, 0.0)
-    keep = vals > thresh
-    rank = int(np.sum(keep))
-    ones = np.ones(n)
-    a = vecs.T @ ones
+    l, piv = cov._factor
+    rank = l.shape[1]
+    ones = np.ones(n)  # the budget direction is invariant under the pivoting
 
     if rank < n:
-        # component of the budget direction inside the null space
-        z = ones - vecs[:, keep] @ a[keep]
+        # L = Q S; in pivoted order the null space of C is orthogonal to Q
+        q, s_fac = np.linalg.qr(l)
+        a = q.T @ ones
+        z = ones - q @ a
         z_sq = float(z @ z)
         if z_sq > n * 1e-20:
-            w = (b / z_sq) * z
+            w = np.empty(n)
+            w[piv] = (b / z_sq) * z
             obj = max(float(w @ cov.matrix @ w), 0.0)
             return QpResult(
                 weights=w,
@@ -201,17 +211,15 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
                 constraint="equality",
                 lam=0.0,
             )
-        # measure-zero corner: budget direction orthogonal to the null
-        # space; minimize on the positive eigenspace instead
-
-    denom = vals.copy()
-    denom[~keep] = 1.0  # masked below
-    y = np.where(keep, a / denom, 0.0)
-    w_tilde = vecs @ y
-    s = float(a[keep] @ y[keep])
-    if s <= 0.0:
-        raise CovarianceError("budget direction carries no positive spectrum mass")
-    w = (b / s) * w_tilde
+        # measure-zero corner: C^+ 1 = Q S^-T S^-1 Q' 1
+        y = solve_triangular(s_fac, a, check_finite=False)
+        x = q @ solve_triangular(s_fac, y, trans=1, check_finite=False)
+    else:
+        y = solve_triangular(l, ones, lower=True, check_finite=False)
+        x = solve_triangular(l, y, lower=True, trans=1, check_finite=False)
+    s = float(y @ y)
+    w = np.empty(n)
+    w[piv] = (b / s) * x
     obj = max(float(w @ cov.matrix @ w), 0.0)
     degen = obj < cov.tol_zero
     return QpResult(

@@ -37,6 +37,9 @@ __all__ = [
     "sample_weights",
 ]
 
+# elements (8 bytes each) per temporary in WeightMixture.bin_mass
+_BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class WeightMixture:
@@ -89,23 +92,36 @@ class WeightMixture:
         out = np.mean(pos + neg, axis=1)
         return float(out[0]) if scalar else out
 
-    def bin_mass(self, lo: float, hi: float) -> float:
-        """Continuous mass on [lo, hi); the zero atom is never included."""
-        if hi <= lo:
-            return 0.0
-        a, b, s = self.center_pos, self.center_neg, self.spread
-        mass = 0.0
-        p_lo, p_hi = max(lo, 0.0), max(hi, 0.0)
-        if p_hi > p_lo:
-            mass += float(
-                np.mean(norm_cdf((p_hi - a) / s) - norm_cdf((p_lo - a) / s))
-            )
-        n_lo, n_hi = min(lo, 0.0), min(hi, 0.0)
-        if n_hi > n_lo:
-            mass += float(
-                np.mean(norm_cdf((n_hi - b) / s) - norm_cdf((n_lo - b) / s))
-            )
-        return mass
+    def bin_mass(self, edges) -> np.ndarray:
+        """Continuous mass of every bin [edges[k], edges[k+1]); the atom is excluded.
+
+        `edges` is a nondecreasing 1-d array; the result has one entry fewer.
+        Each component's cdf is evaluated once per edge of each branch, over
+        blocks of edges that keep every (edges x components) temporary
+        within 128 KB.
+        """
+        e = np.asarray(edges, dtype=float)
+        if e.ndim != 1 or e.size == 0:
+            raise ValueError("bin edges must be a nonempty 1-d array")
+        if np.any(np.diff(e) < 0):
+            raise ValueError("bin edges must be nondecreasing")
+        out = np.zeros(e.size - 1)
+        # only bins reaching above zero carry positive-branch mass, and only
+        # bins reaching below zero carry negative-branch mass
+        lo = max(int(np.searchsorted(e, 0.0, side="right")) - 1, 0)
+        self._branch_masses(np.maximum(e[lo:], 0.0), self.center_pos, out[lo:])
+        hi = int(np.searchsorted(e, 0.0, side="left"))
+        self._branch_masses(np.minimum(e[: hi + 1], 0.0), self.center_neg, out[:hi])
+        return out
+
+    def _branch_masses(self, edges, center, out) -> None:
+        """Add each bin's mean cdf difference around `center` to `out`, in place."""
+        s = self.spread
+        rows = max(2, _BLOCK_ELEMENTS // self.n)
+        # consecutive blocks share one edge, so every difference is formed
+        for start in range(0, edges.size - 1, rows - 1):
+            cdf = norm_cdf((edges[start : start + rows, None] - center) / s)
+            out[start : start + cdf.shape[0] - 1] += np.mean(np.diff(cdf, axis=0), axis=1)
 
     def mean(self) -> float:
         """Analytic mean of the continuous part.

@@ -364,9 +364,7 @@ def test_criterion_10_weight_distribution(criterion_recorder):
         fails, abs(z_atom) <= 3.0,
         f"atom mass {h.atom:.4f} vs n0 {sol.n0:.4f}, z={z_atom:+.2f}",
     )
-    analytic = np.array(
-        [mix.bin_mass(float(a), float(b)) for a, b in zip(h.edges, h.edges[1:])]
-    )
+    analytic = mix.bin_mass(h.edges)
     # Both integrate to ~1 - n0 already; charge the analytic mass outside
     # the sampled range so missing tails count against the distance.
     tail = (1.0 - sol.n0) - analytic.sum()

@@ -2,12 +2,13 @@
 
 The non-negativity-constrained solver is checked against the exhaustive
 active-set enumeration oracle; the equality solver against hand Lagrange
-calculations and its own degeneracy certificates.
+calculations, its own degeneracy certificates, and an independent
+eigendecomposition solver kept here as an oracle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minvar import (
     ActiveSetError,
@@ -22,6 +23,7 @@ from minvar import (
     min_variance_noshort,
     true_optimum,
 )
+from minvar.qp import RANK_RTOL
 
 
 def rand_psd(rng, n, rank=None):
@@ -130,6 +132,94 @@ def test_equality_general_full_rank_against_direct_formula():
         w = b * inv1 / inv1.sum()
         assert np.allclose(res.weights, w, rtol=1e-9, atol=1e-12)
         assert kkt_residual(c, res, b) < 1e-8
+
+
+def _eigh_equality(c, b):
+    """Equality solver on a full eigendecomposition, as an independent oracle.
+
+    Rank counts eigenvalues above RANK_RTOL * max eigenvalue. Returns
+    (weights, rank, degenerate, flat_directions, lam).
+    """
+    n = c.n
+    vals, vecs = np.linalg.eigh(c.matrix)
+    keep = vals > RANK_RTOL * max(float(vals[-1]), 0.0)
+    rank = int(np.sum(keep))
+    ones = np.ones(n)
+    a = vecs.T @ ones
+    if rank < n:
+        z = ones - vecs[:, keep] @ a[keep]
+        z_sq = float(z @ z)
+        if z_sq > n * 1e-20:
+            return (b / z_sq) * z, rank, True, n - rank, 0.0
+    y = np.where(keep, a / np.where(keep, vals, 1.0), 0.0)
+    s = float(a[keep] @ y[keep])
+    w = (b / s) * (vecs @ y)
+    degen = max(float(w @ c.matrix @ w), 0.0) < c.tol_zero
+    return w, rank, degen, (n - rank) if degen else 0, 2.0 * b / s
+
+
+def _check_equality_against_oracle(c, b):
+    w_ref, rank, degen, flat, lam = _eigh_equality(c, b)
+    res = min_variance_equality(c, b)
+    assert c.rank == rank
+    assert res.degenerate == degen
+    assert res.flat_directions == flat
+    scale = float(np.max(np.abs(w_ref)))
+    assert float(np.max(np.abs(res.weights - w_ref))) <= 1e-9 * scale
+    assert res.lam == pytest.approx(lam, rel=1e-9, abs=0.0)
+    assert kkt_residual(c, res, b) <= 1e-8
+    return res
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    t=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+    sigma_spread=st.floats(0.0, 1.0),
+    budget=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+)
+@example(n=1, t=3, seed=0, duplicate=False, sigma_spread=0.0, budget=1.0)
+@example(n=6, t=1, seed=1, duplicate=False, sigma_spread=0.5, budget=2.0)
+@example(n=5, t=8, seed=2, duplicate=True, sigma_spread=0.0, budget=1.0)
+@example(n=4, t=6, seed=3, duplicate=False, sigma_spread=0.3, budget=0.0)
+def test_equality_matches_eigh_oracle_on_panels(n, t, seed, duplicate, sigma_spread, budget):
+    # T < N and a repeated asset row give singular covariances, T = 1 rank one.
+    assume(t <= 2 * n)
+    c = _panel_cov(n, t, seed, duplicate, sigma_spread)
+    # Rank certificates from eigenvalues and from Cholesky pivots can only
+    # disagree near the threshold, so keep every nonzero eigenvalue far above it.
+    vals = np.linalg.eigvalsh(c.matrix)
+    top = float(vals[-1])
+    assume(np.all((vals < 1e-13 * top) | (vals > 1e-6 * top)))
+    _check_equality_against_oracle(c, budget)
+    res = min_variance_noshort(c, budget)
+    assert res.flat_directions == ((n - c.rank) if res.degenerate else 0)
+
+
+@pytest.mark.parametrize("budget", [3.0, 0.0])
+def test_equality_all_ones_corner_matches_oracle(budget):
+    # The budget direction spans the whole range of C, so the null space
+    # is orthogonal to it and the pseudo-inverse branch runs.
+    c = CovMatrix.from_matrix(np.ones((3, 3)))
+    assert c.rank == 1
+    _check_equality_against_oracle(c, budget)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.9, 1.5, 2.5])
+def test_equality_n400_kkt_flat_directions_and_oracle(r):
+    n = 400
+    uni = AssetUniverse.constant(1.0, n)
+    t = round(n / r)
+    for trial in range(2):
+        cfg = TrialConfig(universe=uni, t=t, constraint="equality",
+                          seed=11, trial_index=trial)
+        c = CovMatrix.from_returns(generate_returns(cfg))
+        res = _check_equality_against_oracle(c, float(n))
+        assert res.degenerate == (t < n)
+        if t < n:
+            assert res.flat_directions == n - t
 
 
 # ---------------------------------------------------------------------------

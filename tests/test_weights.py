@@ -16,7 +16,8 @@ from minvar import (
     sample_weights,
     unconstrained_solution,
 )
-from minvar.special import norm_pdf
+import minvar.weights
+from minvar.special import norm_cdf, norm_pdf
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +100,69 @@ def test_bin_mass_matches_quadrature(noshort_mix):
     _, mix = noshort_mix
     for lo, hi in [(0.05, 0.1), (0.5, 1.0), (-1.0, 0.5), (2.0, 9.0)]:
         val, _ = quad(mix.density, lo, hi, limit=400)
-        assert mix.bin_mass(lo, hi) == pytest.approx(val, abs=1e-10)
-    assert mix.bin_mass(1.0, 1.0) == 0.0
-    assert mix.bin_mass(2.0, 1.0) == 0.0
+        assert mix.bin_mass([lo, hi])[0] == pytest.approx(val, abs=1e-10)
+    edges = [-1.0, 0.05, 0.1, 0.1, 0.5, 1.0, 9.0]
+    masses = mix.bin_mass(edges)
+    assert masses.shape == (6,)
+    assert masses[2] == 0.0  # empty bin
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        assert masses[k] == mix.bin_mass([lo, hi])[0]
+    assert mix.bin_mass([1.0]).shape == (0,)
+    for bad in ([2.0, 1.0], [], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            mix.bin_mass(bad)
+
+
+def test_bin_mass_two_sided_matches_quadrature(free_mix):
+    # Bins below, ending at, straddling and starting at zero: the negative
+    # branch carries mass here, unlike under the short-sale ban.
+    _, mix = free_mix
+    edges = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+    masses = mix.bin_mass(edges)
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        val, _ = quad(mix.density, lo, hi, limit=400)
+        assert masses[k] == pytest.approx(val, abs=1e-10)
+    straddle = mix.bin_mass([-1.0, 0.5])[0]
+    assert straddle == pytest.approx(masses[1] + masses[2], abs=1e-14)
+    wide = mix.bin_mass(np.linspace(-40.0, 40.0, 801))
+    assert float(np.sum(wide)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _bin_mass_per_bin(mix, lo, hi):
+    """One bin's mass by a separate pass over the components, as a reference."""
+    a, b, s = mix.center_pos, mix.center_neg, mix.spread
+    mass = 0.0
+    p_lo, p_hi = max(lo, 0.0), max(hi, 0.0)
+    if p_hi > p_lo:
+        mass += float(np.mean(norm_cdf((p_hi - a) / s) - norm_cdf((p_lo - a) / s)))
+    n_lo, n_hi = min(lo, 0.0), min(hi, 0.0)
+    if n_hi > n_lo:
+        mass += float(np.mean(norm_cdf((n_hi - b) / s) - norm_cdf((n_lo - b) / s)))
+    return mass
+
+
+@pytest.mark.parametrize("block", [None, 7, 15])
+def test_bin_mass_equals_per_bin_reference(noshort_mix, free_mix, monkeypatch, block):
+    # Same arithmetic per bin, so equal to the last bit, whatever the block
+    # size (7 and 15 elements give 2 and 5 edges per block for 3 assets).
+    # The grids have bins ending at, starting at and straddling zero.
+    if block is not None:
+        monkeypatch.setattr(minvar.weights, "_BLOCK_ELEMENTS", block)
+    grids = (
+        np.concatenate([[-2.0], np.linspace(-1.0, 8.0, 37), [8.0]]),
+        np.linspace(-1.1, 8.0, 30),
+    )
+    for edges in grids:
+        for _, mix in (noshort_mix, free_mix):
+            ref = [_bin_mass_per_bin(mix, float(lo), float(hi))
+                   for lo, hi in zip(edges, edges[1:])]
+            assert np.array_equal(mix.bin_mass(edges), ref)
 
 
 def test_fine_partition_reconstructs_total_mass(noshort_mix):
     sol, mix = noshort_mix
     edges = np.linspace(-30.0, 30.0, 1201)
-    total = sum(mix.bin_mass(a, b) for a, b in zip(edges, edges[1:]))
+    total = float(np.sum(mix.bin_mass(edges)))
     assert total + mix.atom == pytest.approx(1.0, abs=1e-9)
 
 
@@ -168,7 +223,7 @@ def test_sampler_statistics_noshort(noshort_mix):
     assert abs(np.mean(w) - 1.0) < 3 * np.std(w) / np.sqrt(m)
     # A couple of interior bins.
     for lo, hi in [(0.1, 0.5), (1.0, 2.0)]:
-        p = mix.bin_mass(lo, hi)
+        p = float(mix.bin_mass([lo, hi])[0])
         freq = np.mean((w >= lo) & (w < hi))
         assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / m) + 1e-9
 
