@@ -25,7 +25,6 @@ from .mc import (
     run_trial,
     sweep,
     weight_histogram,
-    zero_variance_probability,
 )
 from .qp import (
     CovMatrix,
@@ -94,7 +93,6 @@ __all__ = [
     "generate_returns",
     "run_trial",
     "sweep",
-    "zero_variance_probability",
     "weight_histogram",
     "norm_pdf",
     "norm_cdf",

@@ -5,7 +5,9 @@ Subcommands
     replica    analytic order parameters on an r grid
     simulate   Monte Carlo sweep of the finite-size optimizer
     compare    z-scores of a simulation against an analytic table
-    phase      probability of the zero-variance (flat) phase on an r grid
+    phase      probability of the zero-variance (flat) phase on an r grid:
+               `simulate` with the no-short constraint and only the phase
+               columns
     weights    analytic weight-distribution table, optionally with MC bins
 
 Every output embeds its full run specification (a `# spec=` comment line
@@ -13,9 +15,10 @@ in CSV, a top-level "spec" object in JSON) so any row can be reproduced
 from the file alone. The spec excludes --threads and --out on purpose:
 outputs are byte-identical across thread counts.
 
-Exit codes: 0 success, 2 malformed request, 3 solver failure. Ratios a
-branch refuses (phase boundaries) are not errors: the row is emitted with
-status "critical-boundary" and empty numerics.
+Exit codes: 0 success, 2 malformed request (including a negative or NaN
+penalty and a count below its minimum), 3 solver failure. Ratios a branch
+refuses (phase boundaries) are not errors: the row is emitted with status
+"critical-boundary" and empty numerics.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def parse_r_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError
             lo, hi, step = (float(p) for p in parts)
-            if step <= 0 or hi < lo:
+            if not (0 < step < math.inf and -math.inf < lo <= hi < math.inf):
                 raise ValueError
             out = []
             k = 0
@@ -74,8 +77,6 @@ def parse_r_grid(text: str) -> list[float]:
                     break
                 out.append(v)
                 k += 1
-            if not out:
-                raise ValueError
         else:
             out = [float(p) for p in text.split(",") if p.strip()]
             if not out:
@@ -103,7 +104,7 @@ def parse_sigma(spec: str, n: int | None):
             raise UsageError(f"bad sigma constant {arg!r}") from None
         if not math.isfinite(v) or v <= 0:
             raise UsageError("sigma must be positive and finite")
-        return AssetUniverse.constant(v, n if n else 100), None
+        return AssetUniverse.constant(v, n or 100), None
     if kind == "file":
         try:
             with open(arg, "r", encoding="utf-8") as fh:
@@ -136,17 +137,23 @@ def parse_sigma(spec: str, n: int | None):
             ) from None
         if s < 0:
             raise UsageError("lognormal spread must be nonnegative")
-        return AssetUniverse.lognormal(mu, s, n if n else 100, sd), None
+        try:
+            return AssetUniverse.lognormal(mu, s, n or 100, sd), None
+        except ValueError as e:  # a negative seed, or sigmas that are not finite
+            raise UsageError(f"bad lognormal sigma: {e}") from None
     raise UsageError(f"unknown sigma kind {kind!r}")
 
 
-def _eta_value(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"bad penalty value {text!r}") from None
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        v = int(text)  # argparse reports a ValueError as an invalid integer
+        if v < low:
+            raise argparse.ArgumentTypeError(f"{v} is below the minimum {low}")
+        return v
+
+    return integer
 
 
 def _spec_eta(v: float):
@@ -212,58 +219,78 @@ def read_table(path: str):
     return data["spec"], data["rows"]
 
 
+def _request(args, reg=None):
+    """Parse the grid and sigma of a request; returns (grid, universe, spec).
+
+    JSON output keeps the spec's key order: command, r_grid, n, [trials],
+    sigma, constraint, [eta1, eta2], [seed], [bin_width], format, [sigmas].
+    """
+    grid = parse_r_grid(args.r_grid)
+    universe, resolved = parse_sigma(args.sigma, args.n)
+    spec = {"command": args.command, "r_grid": grid, "n": universe.n}
+    if "trials" in args:
+        spec["trials"] = args.trials
+    spec.update(sigma=args.sigma, constraint=args.constraint)
+    if reg is not None:
+        spec.update(eta1=_spec_eta(reg.eta1), eta2=_spec_eta(reg.eta2))
+    for key in ("seed", "bin_width"):
+        if key in args:
+            spec[key] = getattr(args, key)
+    spec["format"] = args.format
+    if resolved is not None:
+        spec["sigmas"] = resolved
+    return grid, universe, spec
+
+
 def _corner_reg(constraint: str, eta1, eta2) -> RegularizerParams:
     if eta1 is None and eta2 is None:
         if constraint == "equality":
             return RegularizerParams.none()
         return RegularizerParams.short_ban()
-    return RegularizerParams(
-        eta1 if eta1 is not None else 0.0,
-        eta2 if eta2 is not None else 0.0,
-    )
+    try:
+        return RegularizerParams(eta1 or 0.0, eta2 or 0.0)
+    except ValueError as exc:  # negative, NaN, or an infinite eta1
+        raise UsageError(str(exc)) from None
+
+
+def _corner(reg: RegularizerParams) -> str | None:
+    """The finite-size constraint `reg` corresponds to, or None if penalized."""
+    if reg.eta1 == 0.0 and reg.eta2 == 0.0:
+        return "equality"
+    if reg.eta1 == 0.0 and reg.bans_shorts:
+        return "noshort"
+    return None
 
 
 def _solve_point(universe, r: float, reg: RegularizerParams):
-    if reg.eta1 == 0.0 and reg.eta2 == 0.0:
+    corner = _corner(reg)
+    if corner == "equality":
         return unconstrained_solution(universe, r)
-    if reg.eta1 == 0.0 and reg.bans_shorts:
+    if corner == "noshort":
         return noshort_solution(universe, r)
     return general_l1_solve(universe, r, reg)
 
 
-REPLICA_FIELDS = ["r", "lambda", "delta", "q0", "q0_tilde", "f", "n0", "status"]
+# replica column -> ReplicaSolution attribute
+_REPLICA_COLUMNS = {
+    "lambda": "lam", "delta": "delta", "q0": "q0", "q0_tilde": "q0_tilde",
+    "f": "free_energy", "n0": "n0",
+}
+REPLICA_FIELDS = ["r", *_REPLICA_COLUMNS, "status"]
 
 
 def cmd_replica(args) -> int:
-    grid = parse_r_grid(args.r_grid)
-    universe, resolved = parse_sigma(args.sigma, args.n)
     reg = _corner_reg(args.constraint, args.eta1, args.eta2)
-    spec = {
-        "command": "replica",
-        "r_grid": grid,
-        "n": universe.n,
-        "sigma": args.sigma,
-        "constraint": args.constraint,
-        "eta1": _spec_eta(reg.eta1),
-        "eta2": _spec_eta(reg.eta2),
-        "format": args.format,
-    }
-    if resolved is not None:
-        spec["sigmas"] = resolved
+    grid, universe, spec = _request(args, reg)
     rows = []
     for r in grid:
         try:
             sol = _solve_point(universe, r, reg)
         except PhaseBoundaryError:
-            rows.append(
-                {"r": r, "lambda": None, "delta": None, "q0": None,
-                 "q0_tilde": None, "f": None, "n0": None,
-                 "status": "critical-boundary"}
-            )
+            rows.append({"r": r, "status": "critical-boundary"})
             continue
         rows.append(
-            {"r": r, "lambda": sol.lam, "delta": sol.delta, "q0": sol.q0,
-             "q0_tilde": sol.q0_tilde, "f": sol.free_energy, "n0": sol.n0,
+            {"r": r, **{col: getattr(sol, attr) for col, attr in _REPLICA_COLUMNS.items()},
              "status": "ok"}
         )
     write_rows(args.out, spec, REPLICA_FIELDS, rows, args.format)
@@ -279,63 +306,26 @@ SIMULATE_FIELDS = [
     "zero_variance_probability", "zero_variance_se",
 ]
 
-
-def cmd_simulate(args) -> int:
-    if args.eta1 is not None or args.eta2 is not None:
-        raise UsageError(
-            "simulate only implements the equality and noshort corners; "
-            "penalty values cannot be simulated"
-        )
-    grid = parse_r_grid(args.r_grid)
-    universe, resolved = parse_sigma(args.sigma, args.n)
-    spec = {
-        "command": "simulate",
-        "r_grid": grid,
-        "n": universe.n,
-        "trials": args.trials,
-        "sigma": args.sigma,
-        "constraint": args.constraint,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    if resolved is not None:
-        spec["sigmas"] = resolved
-    summary = sweep(
-        universe, grid, args.trials, constraint=args.constraint,
-        seed=args.seed, threads=args.threads,
-    )
-    rows = [{f: getattr(p, f) for f in SIMULATE_FIELDS} for p in summary.points]
-    write_rows(args.out, spec, SIMULATE_FIELDS, rows, args.format)
-    return EXIT_OK
-
-
 PHASE_FIELDS = [
     "r_requested", "r", "t", "n", "trials",
     "zero_variance_probability", "zero_variance_se",
 ]
 
 
-def cmd_phase(args) -> int:
-    grid = parse_r_grid(args.r_grid)
-    universe, resolved = parse_sigma(args.sigma, args.n)
-    spec = {
-        "command": "phase",
-        "r_grid": grid,
-        "n": universe.n,
-        "trials": args.trials,
-        "sigma": args.sigma,
-        "constraint": "noshort",
-        "seed": args.seed,
-        "format": args.format,
-    }
-    if resolved is not None:
-        spec["sigmas"] = resolved
+def cmd_simulate(args) -> int:
+    """`simulate`, and `phase` (no-short, PHASE_FIELDS) through the same sweep."""
+    if args.eta1 is not None or args.eta2 is not None:
+        raise UsageError(
+            "simulate only implements the equality and noshort corners; "
+            "penalty values cannot be simulated"
+        )
+    grid, universe, spec = _request(args)
     summary = sweep(
-        universe, grid, args.trials, constraint="noshort",
+        universe, grid, args.trials, constraint=args.constraint,
         seed=args.seed, threads=args.threads,
     )
-    rows = [{f: getattr(p, f) for f in PHASE_FIELDS} for p in summary.points]
-    write_rows(args.out, spec, PHASE_FIELDS, rows, args.format)
+    rows = [{f: getattr(p, f) for f in args.fields} for p in summary.points]
+    write_rows(args.out, spec, args.fields, rows, args.format)
     return EXIT_OK
 
 
@@ -346,53 +336,28 @@ WEIGHTS_FIELDS = [
 
 
 def cmd_weights(args) -> int:
-    grid = parse_r_grid(args.r_grid)
-    universe, resolved = parse_sigma(args.sigma, args.n)
     reg = _corner_reg(args.constraint, args.eta1, args.eta2)
-    if args.trials > 0 and not (
-        (reg.eta1, reg.eta2) == (0.0, 0.0) or (reg.eta1 == 0.0 and reg.bans_shorts)
-    ):
+    grid, universe, spec = _request(args, reg)
+    if args.trials > 0 and _corner(reg) is None:
         raise UsageError("Monte Carlo weight bins only exist for the corner constraints")
     bw = args.bin_width
-    if bw <= 0:
-        raise UsageError("bin width must be positive")
-    spec = {
-        "command": "weights",
-        "r_grid": grid,
-        "n": universe.n,
-        "trials": args.trials,
-        "sigma": args.sigma,
-        "constraint": args.constraint,
-        "eta1": _spec_eta(reg.eta1),
-        "eta2": _spec_eta(reg.eta2),
-        "seed": args.seed,
-        "bin_width": bw,
-        "format": args.format,
-    }
-    if resolved is not None:
-        spec["sigmas"] = resolved
+    if not (bw > 0 and math.isfinite(bw)):
+        raise UsageError("bin width must be positive and finite")
     rows = []
     for r_req in grid:
-        pooled = None
+        pooled, r_here = None, r_req
         if args.trials > 0:
-            summary = sweep(
+            point = sweep(
                 universe, [r_req], args.trials,
                 constraint=args.constraint, seed=args.seed,
                 threads=args.threads, keep_weights=True,
-            )
-            point = summary.points[0]
-            pooled = point.weights
-            r_here = point.r
-        else:
-            r_here = r_req
+            ).points[0]
+            pooled, r_here = point.weights, point.r
+        atom = {"r_requested": r_req, "r": r_here, "kind": "atom", "w_lo": 0.0, "w_hi": 0.0}
         try:
             sol = _solve_point(universe, r_here, reg)
         except PhaseBoundaryError:
-            rows.append(
-                {"r_requested": r_req, "r": r_here, "kind": "atom",
-                 "w_lo": 0.0, "w_hi": 0.0, "analytic_mass": None,
-                 "mc_mass": None, "status": "critical-boundary"}
-            )
+            rows.append({**atom, "status": "critical-boundary"})
             continue
         mix = build_mixture(sol)
         b, s = mix.center_neg, mix.spread
@@ -409,24 +374,16 @@ def cmd_weights(args) -> int:
         lo_k = math.floor(lo_w / bw)
         hi_k = max(math.ceil(hi_w / bw), lo_k + 1)
         edges = np.arange(lo_k, hi_k + 1) * bw
-        mc_masses = [None] * (len(edges) - 1)
-        if pooled is not None:
-            counts, _ = np.histogram(pooled[~at_zero], bins=edges)
-            mc_masses = list(counts / pooled.size)
-        rows.append(
-            {"r_requested": r_req, "r": r_here, "kind": "atom",
-             "w_lo": 0.0, "w_hi": 0.0, "analytic_mass": sol.n0,
-             "mc_mass": mc_atom, "status": "ok"}
-        )
         masses = mix.bin_mass(edges)
-        for k in range(len(edges) - 1):
-            rows.append(
-                {"r_requested": r_req, "r": r_here, "kind": "bin",
-                 "w_lo": float(edges[k]), "w_hi": float(edges[k + 1]),
-                 "analytic_mass": float(masses[k]),
-                 "mc_mass": (float(mc_masses[k]) if mc_masses[k] is not None else None),
-                 "status": "ok"}
-            )
+        mc_masses = [None] * len(masses)
+        if pooled is not None:
+            mc_masses = [float(m) for m in np.histogram(live, bins=edges)[0] / pooled.size]
+        rows.append({**atom, "analytic_mass": sol.n0, "mc_mass": mc_atom, "status": "ok"})
+        rows += [
+            {"r_requested": r_req, "r": r_here, "kind": "bin", "w_lo": float(lo),
+             "w_hi": float(hi), "analytic_mass": float(m), "mc_mass": mc, "status": "ok"}
+            for lo, hi, m, mc in zip(edges[:-1], edges[1:], masses, mc_masses)
+        ]
     write_rows(args.out, spec, WEIGHTS_FIELDS, rows, args.format)
     return EXIT_OK
 
@@ -499,45 +456,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=None):
+    count = _int_at_least(1)
+
+    def common(p, trials_default=None, min_trials=1):
         p.add_argument("--r-grid", required=True,
                        help="'lo:hi:step' or comma list of N/T ratios")
-        p.add_argument("--n", type=int, default=None,
+        p.add_argument("--n", type=count, default=None,
                        help="number of assets (default 100; fixed by file sigmas)")
         p.add_argument("--sigma", default="const:1.0",
                        help="const:<v> | file:<path> | lognormal:<mu>,<s>,<seed>")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if trials_default is not None:
-            p.add_argument("--trials", type=int, default=trials_default)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--trials", type=_int_at_least(min_trials), default=trials_default)
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+            p.add_argument("--threads", type=count, default=1)
+
+    def penalties(p, help_eta1, help_eta2):
+        p.add_argument("--constraint", choices=("equality", "noshort"), default="noshort")
+        p.add_argument("--eta1", type=float, default=None, help=help_eta1)
+        p.add_argument("--eta2", type=float, default=None, help=help_eta2)
 
     p_rep = sub.add_parser("replica", help="analytic order parameters on an r grid")
     common(p_rep)
-    p_rep.add_argument("--constraint", choices=("equality", "noshort"), default="noshort")
-    p_rep.add_argument("--eta1", type=_eta_value, default=None,
-                       help="penalty per unit positive weight")
-    p_rep.add_argument("--eta2", type=_eta_value, default=None,
-                       help="penalty per unit negative weight ('inf' bans shorts)")
+    penalties(p_rep, "penalty per unit positive weight",
+              "penalty per unit negative weight ('inf' bans shorts)")
     p_rep.set_defaults(func=cmd_replica)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo sweep of the optimizer")
     common(p_sim, trials_default=100)
-    p_sim.add_argument("--constraint", choices=("equality", "noshort"), default="noshort")
-    p_sim.add_argument("--eta1", type=_eta_value, default=None, help=argparse.SUPPRESS)
-    p_sim.add_argument("--eta2", type=_eta_value, default=None, help=argparse.SUPPRESS)
-    p_sim.set_defaults(func=cmd_simulate)
+    penalties(p_sim, argparse.SUPPRESS, argparse.SUPPRESS)
+    p_sim.set_defaults(func=cmd_simulate, fields=SIMULATE_FIELDS)
 
     p_phase = sub.add_parser("phase", help="zero-variance phase probability curve")
     common(p_phase, trials_default=200)
-    p_phase.set_defaults(func=cmd_phase)
+    p_phase.set_defaults(func=cmd_simulate, fields=PHASE_FIELDS,
+                         constraint="noshort", eta1=None, eta2=None)
 
     p_w = sub.add_parser("weights", help="weight-distribution table")
-    common(p_w, trials_default=0)
-    p_w.add_argument("--constraint", choices=("equality", "noshort"), default="noshort")
-    p_w.add_argument("--eta1", type=_eta_value, default=None)
-    p_w.add_argument("--eta2", type=_eta_value, default=None)
+    common(p_w, trials_default=0, min_trials=0)
+    penalties(p_w, None, None)
     p_w.add_argument("--bin-width", type=float, default=0.05)
     p_w.set_defaults(func=cmd_weights)
 

@@ -39,7 +39,6 @@ __all__ = [
     "generate_returns",
     "run_trial",
     "sweep",
-    "zero_variance_probability",
     "weight_histogram",
 ]
 
@@ -239,21 +238,6 @@ def sweep(
     return SweepSummary(
         universe=uni, constraint=constraint, seed=seed, trials=trials,
         points=tuple(points),
-    )
-
-
-def zero_variance_probability(
-    universe, r_grid, trials: int, seed: int, threads: int = 1
-) -> SweepSummary:
-    """Probability that the nonnegative problem admits a zero-variance portfolio.
-
-    Thin wrapper over `sweep` with the no-short optimizer; the probability
-    and its binomial SE live in each point's zero_variance_* fields. Flat
-    at 0 deep in the feasible phase, rising to 1 across the critical ratio,
-    sharper with larger N.
-    """
-    return sweep(
-        universe, r_grid, trials, constraint="noshort", seed=seed, threads=threads
     )
 
 

@@ -7,8 +7,8 @@ which certifies rank for both solvers. The equality problem is two
 triangular solves on a full-rank factor. When C is singular and the budget
 plane meets its null space, the minimum is exactly zero, the solution is
 non-unique, and the reported weights are the minimum-norm representative,
-found from a thin QR of the factor, with the degeneracy flagged rather
-than regularized away.
+found from a thin QR of the factor and normalized by its own budget, with
+the degeneracy flagged rather than regularized away.
 
 The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
@@ -24,7 +24,9 @@ independent. An add appends one row to the factor (one triangular solve),
 a drop restores it with Givens rotations; both cost O(k^2) for k free
 assets. An outside asset that lies in the corral's affine hull would give
 a zero pivot, so it first swaps weight with the member it can replace.
-The brute-force oracle keeps its own dense KKT solve.
+
+The brute-force oracle enumerates supports and solves each one with the
+equality solver; it checks which support the active set picks.
 
 No ridge, no jitter: a flat optimum is reported as flat.
 """
@@ -58,6 +60,14 @@ __all__ = [
 RANK_RTOL = 1e-10
 # an objective below ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
+# z, the part of 1 outside the range of a singular C, counts as zero when
+# |z|^2 <= FLAT_RTOL * N. The threshold weighs two errors. Rounding leaves
+# |z|^2 below about 1e-31 N when 1 lies in the range (measured at
+# N = 10..400), and the flat point b z / 1'z is stationary to rounding for
+# any z above that noise. The pseudo-inverse point, used at and below the
+# threshold, misses stationarity by lam * max|z_i - mean(z)|, which is at
+# most 1e-12 sqrt(N) lam there. So the threshold sits just clear of the noise.
+FLAT_RTOL = 1e-24
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
 # corral's affine hull; it is swapped in, never pivoted on
 PIVOT_RTOL = 1e-12
@@ -72,12 +82,10 @@ class CovMatrix:
     Cholesky factor cannot tell an indefinite matrix from a PSD one, so
     `from_matrix` checks the spectrum of raw arrays (and their symmetry);
     `from_returns` builds Gram matrices of return samples, PSD by
-    construction. `undersampled` records whether the matrix came from fewer
-    observations than assets (None when unknown).
+    construction.
     """
 
     matrix: np.ndarray
-    undersampled: bool | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -98,13 +106,11 @@ class CovMatrix:
             raise CovarianceError("need at least one observation")
         c = (x @ x.T) / t
         c = 0.5 * (c + c.T)
-        return cls(c, undersampled=t < x.shape[0])
+        return cls(c)
 
     @classmethod
-    def from_matrix(cls, c: np.ndarray, undersampled: bool | None = None) -> "CovMatrix":
-        c = np.asarray(c, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise CovarianceError("covariance must be a square matrix")
+    def from_matrix(cls, c: np.ndarray) -> "CovMatrix":
+        c = cls(c).matrix  # checked square
         scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
         if float(np.max(np.abs(c - c.T))) > 1e-12 * scale:
             raise CovarianceError("covariance must be symmetric to 1e-12")
@@ -114,7 +120,7 @@ class CovMatrix:
             raise CovarianceError(
                 f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
             )
-        return cls(sym, undersampled=undersampled)
+        return cls(sym)
 
     @property
     def n(self) -> int:
@@ -179,11 +185,13 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
 
     Full-rank C gives the classic precision-weighted solution, C^-1 1 from
     two triangular solves on the pivoted Cholesky factor. If C is singular
-    and the budget plane meets the null space, the minimum is exactly zero
-    along an affine set; its minimum-norm point b z / |z|^2, with z the
-    part of 1 orthogonal to the factor's column space, is returned with
-    `degenerate` set and `flat_directions` = N - rank. In the measure-zero
-    corner where 1 lies in that column space the solution is b C^+ 1 / 1'C^+ 1.
+    and the budget plane meets its null space, the minimum is exactly zero
+    along an affine set. Its minimum-norm point is b z / 1'z, where z is the
+    part of 1 orthogonal to the factor's column space (1'z = |z|^2 in exact
+    arithmetic; dividing by the computed 1'z makes the budget exact). It is
+    returned with `degenerate` set and `flat_directions` = N - rank. When 1
+    lies in that column space, z is zero up to rounding and the solution is
+    b C^+ 1 / 1'C^+ 1; a z with |z|^2 <= FLAT_RTOL * N counts as zero.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -193,14 +201,16 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
 
     if rank < n:
-        # L = Q S; in pivoted order the null space of C is orthogonal to Q
+        # L = Q S; in pivoted order the null space of C is orthogonal to Q.
+        # The second projection removes the rounding 1 - Q Q'1 leaves in the
+        # range of Q, which C would amplify by 1/1'z when z is small.
         q, s_fac = np.linalg.qr(l)
         a = q.T @ ones
         z = ones - q @ a
-        z_sq = float(z @ z)
-        if z_sq > n * 1e-20:
+        z -= q @ (q.T @ z)
+        if float(z @ z) > FLAT_RTOL * n:
             w = np.empty(n)
-            w[piv] = (b / z_sq) * z
+            w[piv] = (b / float(np.sum(z))) * z
             obj = max(float(w @ cov.matrix @ w), 0.0)
             return QpResult(
                 weights=w,
@@ -211,7 +221,7 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
                 constraint="equality",
                 lam=0.0,
             )
-        # measure-zero corner: C^+ 1 = Q S^-T S^-1 Q' 1
+        # C^+ 1 = Q S^-T S^-1 Q' 1
         y = solve_triangular(s_fac, a, check_finite=False)
         x = q @ solve_triangular(s_fac, y, trans=1, check_finite=False)
     else:
@@ -231,36 +241,6 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         constraint="equality",
         lam=2.0 * b / s,
     )
-
-
-def _kkt_solve(cff: np.ndarray, b: float):
-    """Stationary point of min w' Cff w, sum(w) = b; least squares if singular.
-
-    The brute-force oracle's solve, kept apart from the active-set solver.
-
-    Returns (w, lam). The least-squares branch is exact: the restricted
-    problem is convex and bounded below, so its KKT system is consistent
-    and lstsq picks the minimum-norm stationary pair.
-    """
-    k = cff.shape[0]
-    kkt = np.empty((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * cff
-    kkt[:k, k] = -1.0
-    kkt[k, :k] = 1.0
-    kkt[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = b
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-        # reject solutions of nearly singular systems that solve() mangled
-        scale = max(abs(b), float(np.max(np.abs(kkt))) * float(np.max(np.abs(sol))))
-        if float(np.max(np.abs(kkt @ sol - rhs))) > 1e-8 * max(scale, 1e-300):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return sol[:k], float(sol[k])
 
 
 class _Corral:
@@ -480,11 +460,11 @@ def kkt_residual(c, result: QpResult, budget: float) -> float:
 def brute_force_noshort(c, budget: float = None) -> QpResult:
     """Exact reference for the nonnegative problem by support enumeration.
 
-    Every nonempty support set gets its equality-restricted stationary
-    point; feasible candidates (all entries nonnegative) are compared on
-    the objective. Some optimal face always contains a vertex whose
-    support yields a unique, hence feasible, restricted solution, so the
-    scan is exhaustive. Guarded to N <= 12.
+    Every nonempty support set gets the equality solver's minimizer on
+    that support; feasible candidates (all entries nonnegative) are
+    compared on the objective. Some optimal face always contains a vertex
+    whose support yields a unique, hence feasible, restricted solution, so
+    the scan is exhaustive. Guarded to N <= 12.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -498,7 +478,8 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
     best = None
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        w_s, lam = _kkt_solve(cm[np.ix_(idx, idx)], b)
+        sub = min_variance_equality(CovMatrix(cm[np.ix_(idx, idx)]), b)
+        w_s, lam = sub.weights, sub.lam
         if w_s.min() < -tol_feas:
             continue
         w = np.zeros(n)

@@ -459,15 +459,14 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
     )
 
 
-def stationarity_residual(op, universe, r: float, reg: RegularizerParams, step: float | None = None) -> float:
+def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> float:
     """Max-norm central-difference gradient of the functional at `op`.
 
-    With step=None each coordinate uses the cube-root-of-eps rule scaled to
-    its magnitude; a given step is used as a relative factor the same way.
+    Each coordinate steps by the cube root of eps, scaled to its magnitude.
     Values below ~1e-6 certify stationarity at solver accuracy.
     """
     x = np.asarray(op, dtype=float)
-    rel = float(np.cbrt(np.finfo(float).eps)) if step is None else float(step)
+    rel = float(np.cbrt(np.finfo(float).eps))
     grad = np.zeros_like(x)
     for k in range(5):
         h = rel * max(abs(x[k]), 1e-2)
@@ -481,13 +480,12 @@ def stationarity_residual(op, universe, r: float, reg: RegularizerParams, step: 
 
 
 def _initial_guesses(uni, r, reg):
-    """Candidate starting points (lam, u) for the damped Newton solve."""
+    """Candidate starting points (lam, u) for the damped Newton solve, r < 2."""
     out = []
-    if r < 2:
-        # banned-shorts anchor, shifted by the positive-side penalty
-        m0 = _noshort_root(uni, r)
-        if m0 > 0:
-            out.append((m0 * m0 + reg.eta1, m0))
+    # banned-shorts anchor, shifted by the positive-side penalty
+    m0 = _noshort_root(uni, r)
+    if m0 > 0:
+        out.append((m0 * m0 + reg.eta1, m0))
     if r < 1:
         lam_u = (1.0 - r) / (r * uni.mean_inv_var)
         out.append((lam_u + reg.eta1, math.sqrt(lam_u)))
@@ -495,13 +493,12 @@ def _initial_guesses(uni, r, reg):
     return out
 
 
-def general_l1_solve(
-    universe,
-    r: float,
-    reg: RegularizerParams,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> ReplicaSolution:
+# damped Newton of general_l1_solve: residual target and iteration budget
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
+
+
+def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolution:
     """Solve the asymmetric-penalty saddle equations by damped Newton.
 
     The five-parameter system reduces to two unknowns, the multiplier lam
@@ -517,7 +514,11 @@ def general_l1_solve(
     `noshort_solution`.
 
     Raises PhaseBoundaryError / CriticalPhaseError off the feasible phase
-    and NoConvergenceError if the budget of `max_iter` iterations is spent.
+    and NoConvergenceError if NEWTON_MAX_ITER iterations are spent. Every
+    penalized problem is critical from r = 2 on: beyond it a long-only
+    zero-variance portfolio exists with probability -> 1 (Wendel 1962),
+    and it pays only the penalty eta1 * N that every budget-feasible
+    portfolio pays at least, so the optimum is flat.
     """
     uni = as_universe(universe)
     if r <= 0:
@@ -526,9 +527,9 @@ def general_l1_solve(
         raise PhaseBoundaryError(
             f"penalty-free system has no solution at r = {r:g} (boundary r = 1)"
         )
-    if reg.bans_shorts and r >= 2:
+    if r >= 2:
         raise CriticalPhaseError(
-            f"banned-shorts system has no solution at r = {r:g} (critical r = 2)"
+            f"penalized system has no solution at r = {r:g} (critical r = 2)"
         )
 
     def residual(x):
@@ -547,8 +548,8 @@ def general_l1_solve(
     x, fx, norm = best
 
     floor = 1e-300
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm < NEWTON_TOL:
             break
         jac = np.empty((2, 2))
         for j in range(2):
@@ -569,7 +570,7 @@ def general_l1_solve(
             if xn[0] > floor and xn[1] > floor:
                 fn = residual(xn)
                 nn = float(np.max(np.abs(fn)))
-                if nn < norm * (1.0 - 1e-4 * alpha) or nn < tol:
+                if nn < norm * (1.0 - 1e-4 * alpha) or nn < NEWTON_TOL:
                     x, fx, norm = xn, fn, nn
                     break
             alpha *= 0.5
@@ -582,7 +583,7 @@ def general_l1_solve(
             )
     if norm >= 1e-10:
         raise NoConvergenceError(
-            f"saddle solve above residual contract after {max_iter} iterations",
+            f"saddle solve above residual contract after {NEWTON_MAX_ITER} iterations",
             iterate=tuple(x),
             residual=norm,
         )

@@ -32,7 +32,6 @@ from minvar import (
     sweep,
     unconstrained_solution,
     weight_histogram,
-    zero_variance_probability,
 )
 from minvar.cli import main, read_table
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
@@ -312,23 +311,24 @@ def test_criterion_8_noshort_order_parameter_curves(criterion_recorder):
 def test_criterion_9_zero_variance_phase_scan(criterion_recorder):
     t0 = time.perf_counter()
     fails = []
-    low = zero_variance_probability(
-        AssetUniverse.constant(1.0, 50), [0.5], trials=200, seed=0
+    low = sweep(
+        AssetUniverse.constant(1.0, 50), [0.5], trials=200, constraint="noshort", seed=0
     ).points[0]
     _check(
         fails, low.zero_variance_probability == 0.0,
         f"P(zero variance) = {low.zero_variance_probability} != 0 at r=0.5",
     )
-    high = zero_variance_probability(
-        AssetUniverse.constant(1.0, 100), [2.5], trials=200, seed=0, threads=4
+    high = sweep(
+        AssetUniverse.constant(1.0, 100), [2.5], trials=200, constraint="noshort",
+        seed=0, threads=4,
     ).points[0]
     _check(
         fails, high.zero_variance_probability > 0.95,
         f"P(zero variance) = {high.zero_variance_probability} <= 0.95 at r=2.5",
     )
-    scan = zero_variance_probability(
+    scan = sweep(
         AssetUniverse.constant(1.0, 50), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
-        trials=200, seed=0, threads=4,
+        trials=200, constraint="noshort", seed=0, threads=4,
     ).points
     probs = [p.zero_variance_probability for p in scan]
     for a, b in zip(scan, scan[1:]):

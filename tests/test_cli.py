@@ -42,7 +42,8 @@ def test_parse_r_grid_range():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "0.5:0.1:0.2", "1:2", "a,b", "0.0", "-1.0", "inf", "1:2:0"]
+    "bad", ["", "0.5:0.1:0.2", "1:2", "a,b", "0.0", "-1.0", "inf", "1:2:0",
+            "0.5:inf:0.5", "nan:1:0.5", "0.5:1:nan", "0.5:1:inf"]
 )
 def test_parse_r_grid_rejects(bad):
     with pytest.raises(UsageError):
@@ -74,7 +75,8 @@ def test_parse_sigma_file(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    ["const:-1", "const:x", "plain", "gauss:1", "lognormal:0.0,0.5", "const:inf"],
+    ["const:-1", "const:x", "plain", "gauss:1", "lognormal:0.0,0.5", "const:inf",
+     "lognormal:0.0,0.5,-1", "lognormal:0.0,nan,1", "lognormal:inf,0.5,1"],
 )
 def test_parse_sigma_rejects(bad):
     with pytest.raises(UsageError):
@@ -183,6 +185,35 @@ def test_replica_eta_overrides(tmp_path):
     assert spec2["eta2"] == "inf"
     ban = noshort_solution(AssetUniverse.constant(1.0, 1), 0.8)
     assert rows2[0]["lambda"] == pytest.approx(ban.lam, rel=1e-12)
+
+
+def test_penalized_replica_is_critical_from_r_2(tmp_path):
+    # Beyond r = 2 a long-only zero-variance portfolio exists, so every
+    # penalized problem is flat: a boundary row, not a solver failure.
+    out = tmp_path / "pen.csv"
+    code = run_cli(
+        "replica", "--eta1", "0.3", "--eta2", "1.5", "--r-grid", "0.1:2.1:0.4",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    assert [row["status"] for row in rows] == ["ok"] * 5 + ["critical-boundary"]
+    assert all(rows[-1][k] is None for k in ("lambda", "delta", "q0", "q0_tilde", "f", "n0"))
+
+
+def test_penalized_weights_are_critical_from_r_2(tmp_path):
+    out = tmp_path / "penw.json"
+    code = run_cli(
+        "weights", "--eta1", "0.1", "--eta2", "0.5", "--r-grid", "0.5,2.5",
+        "--format", "json", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    assert rows[-1] == {
+        "r_requested": 2.5, "r": 2.5, "kind": "atom", "w_lo": 0.0, "w_hi": 0.0,
+        "analytic_mass": None, "mc_mass": None, "status": "critical-boundary",
+    }
+    assert all(row["status"] == "ok" for row in rows[:-1])
 
 
 def test_replica_stdout(capsys):
@@ -397,6 +428,29 @@ def test_compare_skips_boundary_rows(tmp_path):
 # ---------------------------------------------------------------------------
 # Exit codes and entry points
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replica", "--r-grid", "0.5", "--eta1", "-1"],
+        ["replica", "--r-grid", "0.5", "--eta2", "nan"],
+        ["replica", "--r-grid", "0.5", "--eta1", "inf"],
+        ["replica", "--r-grid", "0.5", "--n", "-3"],
+        ["replica", "--r-grid", "0.5", "--n", "0"],
+        ["simulate", "--r-grid", "0.5", "--n", "4", "--trials", "0"],
+        ["simulate", "--r-grid", "0.5", "--n", "4", "--trials", "2", "--threads", "0"],
+        ["simulate", "--r-grid", "0.5", "--n", "4", "--trials", "2", "--seed", "-1"],
+        ["phase", "--r-grid", "0.5", "--n", "4", "--trials", "0"],
+        ["weights", "--r-grid", "0.5", "--n", "4", "--trials", "-1"],
+        ["weights", "--r-grid", "0.5", "--n", "4", "--bin-width", "nan"],
+    ],
+)
+def test_malformed_values_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
+    assert "error" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -20,7 +20,6 @@ from minvar import (
     sweep,
     true_optimum,
     weight_histogram,
-    zero_variance_probability,
 )
 
 
@@ -149,13 +148,6 @@ def test_equality_insample_mean_matches_exact_finite_size_law():
     assert abs(p.lambda_hat_mean - exact) < 3 * p.lambda_hat_se
 
 
-def test_zero_variance_probability_wrapper():
-    a = zero_variance_probability(UNI, [2.5], trials=30, seed=3)
-    b = sweep(UNI, [2.5], trials=30, constraint="noshort", seed=3)
-    assert a == b
-    assert a.points[0].zero_variance_probability > 0.8
-
-
 @pytest.mark.parametrize("n,t", [(50, 22), (50, 25), (100, 45), (100, 50)])
 def test_zero_variance_frequency_matches_wendel(n, t):
     # Wendel (1962): N symmetric points in general position in R^T have the
@@ -164,8 +156,8 @@ def test_zero_variance_frequency_matches_wendel(n, t):
     # that the no-short problem has a zero-variance portfolio.
     trials = 400
     p = sum(math.comb(n - 1, k) for k in range(t, n)) / 2 ** (n - 1)
-    point = zero_variance_probability(
-        AssetUniverse.constant(1.0, n), [n / t], trials=trials, seed=0
+    point = sweep(
+        AssetUniverse.constant(1.0, n), [n / t], trials=trials, constraint="noshort", seed=0
     ).points[0]
     assert point.t == t
     se = math.sqrt(p * (1.0 - p) / trials)

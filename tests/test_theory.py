@@ -366,6 +366,15 @@ def test_general_solver_beyond_known_boundaries_raises():
         general_l1_solve(uni, 2.0, RegularizerParams.short_ban())
 
 
+@pytest.mark.parametrize("reg", [RegularizerParams(0.3, 1.5), RegularizerParams(0.1, 0.5),
+                                 RegularizerParams(0.0, 2.0), RegularizerParams(0.5, 0.0)])
+@pytest.mark.parametrize("r", [2.0, 2.0001, 2.5, 3.0])
+def test_penalized_solver_is_critical_from_r_2(reg, r):
+    uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
+    with pytest.raises(CriticalPhaseError):
+        general_l1_solve(uni, r, reg)
+
+
 def test_error_hierarchy():
     # Callers filter on these relationships; keep them stable.
     from minvar import ActiveSetError, CovarianceError
