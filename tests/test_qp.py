@@ -146,7 +146,18 @@ def _eigh_equality(c, b):
     ones = np.ones(n)
     a = vecs.T @ ones
     if rank < n:
-        z = vecs[:, ~keep] @ a[~keep]
+        # eigh tilts the null vectors into the range of C by about
+        # eps * max eigenvalue / smallest kept eigenvalue. When 1 lies in the
+        # range, that tilt alone puts |z|^2 above FLAT_RTOL * N (4e-24 at a
+        # range condition number of 3e4). One refinement step, V0 -= C^+ C V0,
+        # removes it. C V0 is formed in long double: its float64 rounding is
+        # of the order of the tilt it measures. On 2089 duplicate-row panels
+        # with 1 in the range, the largest |z|^2 / N was 5.6e-23 unrefined,
+        # 4.7e-26 refined in float64 and 2.5e-27 refined in long double.
+        v0 = vecs[:, ~keep]
+        cv = (c.matrix.astype(np.longdouble) @ v0.astype(np.longdouble)).astype(float)
+        v0 = v0 - vecs[:, keep] @ ((vecs[:, keep].T @ cv) / vals[keep][:, None])
+        z = v0 @ (v0.T @ ones)
         if float(z @ z) > FLAT_RTOL * n:
             return (b / float(np.sum(z))) * z, rank, True, n - rank, 0.0
     y = np.where(keep, a / np.where(keep, vals, 1.0), 0.0)
@@ -197,6 +208,8 @@ def _check_equality_against_oracle(c, b):
 @example(n=10, t=9, seed=0, duplicate=True, sigma_spread=1e-8, budget=2.0)
 # exact duplicates: z is rounding noise, the pseudo-inverse branch runs
 @example(n=3, t=2, seed=0, duplicate=True, sigma_spread=0.0, budget=1.0)
+# cond(C) ~ 3e4 on the range: eigh alone puts |z|^2 at 4e-24 > FLAT_RTOL * N
+@example(n=3, t=2, seed=3, duplicate=True, sigma_spread=0.0, budget=1.0)
 def test_equality_matches_eigh_oracle_on_panels(n, t, seed, duplicate, sigma_spread, budget):
     # T < N and a repeated asset row give singular covariances, T = 1 rank one.
     assume(t <= 2 * n)
