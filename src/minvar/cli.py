@@ -349,7 +349,7 @@ def cmd_weights(args) -> int:
         if args.trials > 0:
             point = sweep(
                 universe, [r_req], args.trials,
-                constraint=args.constraint, seed=args.seed,
+                constraint=_corner(reg), seed=args.seed,
                 threads=args.threads, keep_weights=True,
             ).points[0]
             pooled, r_here = point.weights, point.r

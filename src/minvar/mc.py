@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ActiveSetError
 from .qp import CovMatrix, min_variance_equality, min_variance_noshort
 from .theory import AssetUniverse, as_universe, true_optimum
 
@@ -137,7 +138,14 @@ def run_trial(cfg: TrialConfig) -> SampleMetrics:
     if cfg.constraint == "equality":
         res = min_variance_equality(cov, budget=n)
     else:
-        res = min_variance_noshort(cov, budget=n)
+        try:
+            res = min_variance_noshort(cov, budget=n)
+        except ActiveSetError as exc:
+            raise ActiveSetError(
+                f"trial {cfg.trial_index} (r = {cfg.r:.6g}, T = {cfg.t}, "
+                f"seed {cfg.seed}): {exc}",
+                iterate=exc.iterate, residual=exc.residual,
+            ) from exc
     w = res.weights
     r = cfg.r
     sig2 = uni._sig**2

@@ -13,17 +13,19 @@ the degeneracy flagged rather than regularized away.
 The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
 convex hull of the scaled asset vectors). The free set, the "corral",
-starts at the single asset of smallest variance. A major step adds the
-outside asset with the most negative multiplier 2 (C w)_j - lam; minor
-steps move toward the corral's affine minimizer and drop the member that
-would cross zero first. The affine minimizer comes from a Cholesky factor
-of M = C_ff + rho 11' with rho = trace(C)/N: on the budget plane
-w' M w = w' C w + rho budget^2, so the shift moves no optimum, and M is
-positive definite exactly when the corral's asset vectors are affinely
-independent. An add appends one row to the factor (one triangular solve),
-a drop restores it with Givens rotations; both cost O(k^2) for k free
-assets. An outside asset that lies in the corral's affine hull would give
-a zero pivot, so it first swaps weight with the member it can replace.
+starts at the single asset of smallest variance. A major step adds up to
+ADD_BATCH outside assets with negative multipliers 2 (C w)_j - lam, taken
+from one gradient, most negative first; minor steps move toward the
+corral's affine minimizer and drop the member that would cross zero first.
+The affine minimizer comes from a Cholesky factor of M = C_ff + rho 11'
+with rho = trace(C)/N: on the budget plane w' M w = w' C w + rho budget^2,
+so the shift moves no optimum, and M is positive definite exactly when the
+corral's asset vectors are affinely independent. An add appends one
+column to the factor (one triangular solve), a drop restores it in place
+with Givens rotations; both cost O(k^2) for k free assets. If the first
+asset of a batch lies in the corral's affine hull it would give a zero
+pivot, so it first swaps weight with the member it can replace; later
+assets of the batch in the hull are skipped.
 
 The brute-force oracle enumerates supports and solves each one with the
 equality solver; it checks which support the active set picks.
@@ -39,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr_delete, solve_triangular
-from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpstrf, dtpttr, dtrttp
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpstrf
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -69,8 +71,17 @@ ZERO_RTOL = 1e-10
 # most 1e-12 sqrt(N) lam there. So the threshold sits just clear of the noise.
 FLAT_RTOL = 1e-24
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
-# corral's affine hull; it is swapped in, never pivoted on
+# corral's affine hull; it is never pivoted on: the first asset of a batch is
+# swapped in, a later one skipped
 PIVOT_RTOL = 1e-12
+# a major step of the no-short solver adds up to ADD_BATCH improving assets
+# from one gradient (one N x N product C w) before its minor cycle. Larger
+# batches take fewer gradients but bring in more assets that the minor cycle
+# drops again. Solve CPU time per trial on 36 trials at N = 400,
+# r in {1, 1.9, 2.5} (2-vCPU Xeon VM, one BLAS thread, batch sizes
+# interleaved, median of 9 passes): 36.9, 25.4, 18.6, 16.9, 17.1 and 18.4 ms
+# at batch sizes 1, 2, 4, 8, 12 and 16.
+ADD_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -128,13 +139,21 @@ class CovMatrix:
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, piv) with C[piv][:, piv] = L L', L lower trapezoidal N x rank."""
+        """(L, piv) with C[piv][:, piv] = L L', L lower trapezoidal N x rank.
+
+        At full rank the entries above the diagonal of L are left as dpstrf
+        leaves them; only the thin QR of a singular factor reads them.
+        """
         m = self.matrix
         top = float(np.max(np.diagonal(m)))
         if top < 0.0:
             raise CovarianceError("covariance has a negative diagonal")
         f, piv, rank, _ = dpstrf(m, tol=RANK_RTOL * top, lower=1)
-        return np.tril(f[:, :rank]), piv - 1
+        if rank < self.n:
+            return np.tril(f[:, :rank]), piv - 1
+        # C order, as np.tril gives, makes solve_triangular run the same
+        # LAPACK solve (on L'), so the result is the same to the last bit
+        return np.ascontiguousarray(f), piv - 1
 
     @property
     def rank(self) -> int:
@@ -246,71 +265,89 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
 class _Corral:
     """Free set of the no-short solver with a Cholesky factor of its M block.
 
-    M = C_ff + rho 11' over the members, in factor order. The upper factor
-    R (M = R'R) is packed by columns, so an add appends one column and the
-    triangular solves read a prefix of the buffer without copying; y holds
-    R'^-1 1, which gives the affine minimizer through one more solve.
+    M = C_ff + rho 11' over the members, in factor order, and M = R'R with R
+    upper triangular. R is kept in column-major full storage with leading
+    dimension N and one spare column, so an add writes one column and a drop
+    works in place. LAPACK band storage with kd = N - 1 and lda = N + 1 puts
+    entry (i, j) at (N - 1 + i - j) + (N + 1) j = (N - 1) + i + N j: the same
+    memory, shifted by N - 1 entries. Through that band view, dtbsv solves
+    with the leading k x k block of R without copying it. y holds R'^-1 1,
+    which gives the affine minimizer through one more solve.
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):
         n = cm.shape[0]
         self.cm = cm
         self.rho = rho
+        self.kd = n - 1
+        buf = np.empty(n - 1 + n * (n + 1))
+        self.r = buf[n - 1 :].reshape((n, n + 1), order="F")
+        self.band = buf[: (n + 1) * n].reshape((n + 1, n), order="F")
         self.idx = np.empty(n, dtype=np.intp)
         self.mask = np.zeros(n, dtype=bool)
-        self.rp = np.empty(n * (n + 1) // 2)
         self.y = np.empty(n)
         self.idx[0] = i0
         self.mask[i0] = True
-        self.rp[0] = math.sqrt(cm[i0, i0] + rho)
-        self.y[0] = 1.0 / self.rp[0]
+        self.r[0, 0] = math.sqrt(cm[i0, i0] + rho)
+        self.y[0] = 1.0 / self.r[0, 0]
         self.k = 1
 
     @property
     def members(self) -> np.ndarray:
         return self.idx[: self.k]
 
+    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
+        """R^-1 x, or R'^-1 x with trans=1."""
+        return dtbsv(self.kd, self.band[:, : self.k], x, trans=trans)
+
     def pivot(self, j: int) -> tuple[np.ndarray, float, float]:
         """New factor column l of asset j, its squared pivot d2, and M_jj."""
         mjj = self.cm[j, j] + self.rho
-        l = dtpsv(self.k, self.rp, self.cm[j, self.members] + self.rho, trans=1)
+        l = self.solve(self.cm[j, self.members] + self.rho, trans=1)
         return l, mjj - float(l @ l), mjj
-
-    def coefficients(self, l: np.ndarray) -> np.ndarray:
-        """M^-1 m_j from the column l = R'^-1 m_j that `pivot` returned."""
-        return dtpsv(self.k, self.rp, l)
 
     def add(self, j: int, l: np.ndarray, d2: float) -> None:
         k = self.k
         d = math.sqrt(d2)
-        off = k * (k + 1) // 2
-        self.rp[off : off + k] = l
-        self.rp[off + k] = d
+        self.r[:k, k] = l
+        self.r[k, k] = d
         self.y[k] = (1.0 - float(l @ self.y[:k])) / d
         self.idx[k] = j
         self.mask[j] = True
         self.k = k + 1
 
     def drop(self, q: int) -> None:
-        """Remove the member at factor position q."""
-        k = self.k
+        """Remove the member at factor position q, in O(k (k - q))."""
+        k, r = self.k, self.r
         self.mask[self.idx[q]] = False
         self.idx[q : k - 1] = self.idx[q + 1 : k]
-        # deleting column q of R leaves a Hessenberg block below row q;
-        # Givens rotations (qr_delete) make it triangular again in O(k^2)
-        r = dtpttr(k, self.rp[: k * (k + 1) // 2])[0]
-        r[q:, q + 1 :] = qr_delete(
-            np.eye(k - q), r[q:, q:], 0, which="col", check_finite=False
-        )[1]
-        k -= 1
-        self.rp[: k * (k + 1) // 2] = dtrttp(np.delete(r[:k], q, axis=1))[0]
-        self.y[:k] = dtpsv(k, self.rp, np.ones(k), trans=1)
-        self.k = k
+        # deleting column q leaves a Hessenberg block in rows q..k-1; Givens
+        # rotations (qr_delete, in place) make it triangular again and shift
+        # the later columns left. With y's tail in the spare column they
+        # rotate it alike: R'y = 1 holds for the remaining columns under any
+        # orthogonal map of the rows. The rows above q only shift.
+        r[q:k, k] = self.y[q:k]
+        qr_delete(
+            np.eye(k - q), r[q:k, q : k + 1], 0, which="col",
+            overwrite_qr=True, check_finite=False,
+        )
+        r[:q, q : k - 1] = r[:q, q + 1 : k]
+        self.y[q : k - 1] = r[q : k - 1, k - 1]
+        self.k = k - 1
 
     def affine_minimizer(self, b: float) -> np.ndarray:
         """argmin v' C v over sum(v) = b, supported on the members."""
         y = self.y[: self.k]
-        return (b / float(y @ y)) * dtpsv(self.k, self.rp, y)
+        return (b / float(y @ y)) * self.solve(y)
+
+
+def _improving(mu: np.ndarray, tol: float) -> np.ndarray:
+    """Up to ADD_BATCH assets with mu < -tol, ordered by (mu, asset index)."""
+    cand = np.flatnonzero(mu < -tol)
+    if cand.size > ADD_BATCH:
+        cut = np.partition(mu[cand], ADD_BATCH - 1)[ADD_BATCH - 1]
+        cand = cand[mu[cand] <= cut]
+    return cand[np.argsort(mu[cand], kind="stable")[:ADD_BATCH]]
 
 
 def _first_blocking(ratios: np.ndarray, members: np.ndarray) -> int:
@@ -323,9 +360,14 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     """Minimize w' C w with sum(w) = budget and w >= 0, by a vertex-start active set.
 
     Wolfe's min-norm-point method in weight form. The corral starts as the
-    single asset of smallest variance; each major step adds the outside
-    asset with the most negative multiplier, and minor steps drop the
-    corral member that blocks the way to the corral's affine minimizer.
+    single asset of smallest variance. Each major step adds, from one
+    gradient, up to ADD_BATCH outside assets with negative multipliers,
+    ordered by (multiplier, asset index), and skips those in the corral's
+    affine hull; minor steps then drop the corral members that block the
+    way to the corral's affine minimizer. A new member whose affine weight
+    is negative leaves at step length 0, and by Wolfe's lemma the last new
+    member left keeps a positive weight, so the objective falls strictly at
+    every major step and the method terminates as with single adds.
     Assets outside the corral have exactly zero weight in the result, and
     `iterations` counts adds plus drops. Flat (zero-variance) optima are
     detected from the final objective against the scaled threshold and
@@ -369,9 +411,10 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         lam = 2.0 * float(w @ g) / b if b > 0 else 0.0
         mu = 2.0 * g - lam
         mu[corral.mask] = np.inf
-        j = int(np.argmin(mu))
-        if not mu[j] < -tol_mu:
+        batch = _improving(mu, tol_mu)
+        if batch.size == 0:
             break
+        j = int(batch[0])
         mu_min = float(mu[j])
         count_step(mu_min)
         l, d2, mjj = corral.pivot(j)
@@ -381,7 +424,7 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             # direction e_j - c and drop the member that empties first, whose
             # coefficient is clear of rounding, so j pivots on a nonzero
             f = corral.members
-            coef = corral.coefficients(l)
+            coef = corral.solve(l)  # M^-1 m_j
             ratios = np.full(corral.k, np.inf)
             pos = coef > 1e-9
             ratios[pos] = w[f[pos]] / coef[pos]
@@ -396,6 +439,14 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             if not d2 > 0.0:
                 raise failure(f"asset {j} stays affinely dependent", mu_min)
         corral.add(j, l, d2)
+        # a swap moves w along a null direction of C (to the pivot
+        # tolerance), so the rest of the batch keeps its multipliers; a later
+        # candidate in the corral's affine hull is skipped, not swapped
+        for j in batch[1:]:
+            l, d2, mjj = corral.pivot(int(j))
+            if d2 > PIVOT_RTOL * mjj:
+                count_step(mu_min)
+                corral.add(int(j), l, d2)
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members
@@ -416,10 +467,12 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
 
     obj = max(float(w @ g), 0.0)
     degen = obj < cov.tol_zero
+    active = tuple(int(i) for i in np.flatnonzero(~corral.mask))
+    del corral  # free the factor storage before cov.rank factors C
     return QpResult(
         weights=w,
         objective=obj,
-        active_set=tuple(int(i) for i in np.flatnonzero(~corral.mask)),
+        active_set=active,
         degenerate=degen,
         flat_directions=(n - cov.rank) if degen else 0,
         constraint="noshort",

@@ -314,6 +314,21 @@ def test_weights_with_trials_populates_mc(tmp_path):
     assert atom["r"] == 12 / round(12 / 1.5)
 
 
+def test_weights_monte_carlo_uses_the_law_corner(tmp_path):
+    # --eta2 inf bans short positions whatever --constraint says, so the
+    # Monte Carlo next to the no-short atom must run the no-short optimizer
+    out = tmp_path / "wcorner.csv"
+    code = run_cli(
+        "weights", "--r-grid", "0.5", "--n", "10", "--trials", "5",
+        "--constraint", "equality", "--eta2", "inf", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    atom = next(row for row in rows if row["kind"] == "atom")
+    assert atom["analytic_mass"] > 0.0
+    assert atom["mc_mass"] > 0.0
+
+
 def test_weights_rejects_mc_off_corners(capsys):
     code = run_cli(
         "weights", "--r-grid", "0.8", "--n", "4", "--trials", "5", "--eta2", "0.7"
@@ -470,6 +485,25 @@ def test_solver_error_exit_code(monkeypatch, tmp_path):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == EXIT_SOLVER
+
+
+def test_solver_failure_names_the_trial(monkeypatch, tmp_path, capsys):
+    import functools
+
+    import minvar.mc as mc
+    from minvar.qp import min_variance_noshort
+
+    monkeypatch.setattr(
+        mc, "min_variance_noshort", functools.partial(min_variance_noshort, max_iter=2)
+    )
+    code = run_cli(
+        "simulate", "--r-grid", "0.5,1.5", "--n", "8", "--trials", "3",
+        "--seed", "4", "--constraint", "noshort", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "trial 0 (r = 0.5, T = 16, seed 4)" in err
+    assert "active-set cap 2 reached" in err
 
 
 def test_subprocess_entry_points(tmp_path):

@@ -448,6 +448,70 @@ def test_noshort_cap_reports_free_set_and_residual():
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_noshort_batch_can_free_every_asset(n):
+    # one batch takes every outside asset, the corral ends up holding all N
+    # and the next gradient has no candidate left
+    c = CovMatrix.from_matrix(np.diag(np.linspace(1.0, 2.0, n)))
+    res = min_variance_noshort(c, float(n))
+    inv = 1.0 / np.diagonal(c.matrix)
+    assert res.active_set == ()
+    assert res.iterations == n - 1  # one batch of adds, no drop
+    assert np.allclose(res.weights, n * inv / inv.sum(), rtol=1e-12, atol=0.0)
+    assert kkt_residual(c, res, float(n)) <= 1e-12
+
+
+def test_noshort_batch_skips_near_duplicate_pivot():
+    # assets 1 and 2 are near-duplicates with tied multipliers at the start,
+    # so both land in the first batch; asset 2 lies (to 1e-13) in the affine
+    # hull of {0, 1} and is skipped, not appended on a ~0 pivot
+    x = np.array([[1.0, 0.0], [0.0, 1.2], [0.0, 1.2 * (1.0 + 1e-13)]])
+    c = CovMatrix.from_matrix(x @ x.T)
+    res = min_variance_noshort(c, 1.0)
+    assert res.iterations == 1  # the add of asset 1 only
+    assert res.weights[2] == 0.0
+    assert res.active_set == (2,)
+    ref = brute_force_noshort(c, 1.0)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert kkt_residual(c, res, 1.0) <= 1e-12
+
+
+def test_noshort_batch_breaks_ties_by_lowest_index():
+    # eleven outside assets tie; the batch takes the eight lowest indices
+    c = CovMatrix.from_matrix(np.eye(12))
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(c, 12.0, max_iter=8)
+    assert info.value.iterate == list(range(9))
+    # the start asset is the smallest variance; the rest of the batch follows
+    # it by (multiplier, index)
+    d = np.full(12, 2.0)
+    d[5] = 1.0
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(CovMatrix.from_matrix(np.diag(d)), 12.0, max_iter=8)
+    assert info.value.iterate == [5, 0, 1, 2, 3, 4, 6, 7, 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    t=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+    sigma_spread=st.floats(0.0, 1.0),
+    budget=st.floats(0.5, 3.0),
+)
+@example(n=12, t=24, seed=0, duplicate=False, sigma_spread=0.0, budget=1.0)
+@example(n=12, t=5, seed=1, duplicate=True, sigma_spread=0.5, budget=2.0)
+def test_noshort_batched_adds_match_brute_force(n, t, seed, duplicate, sigma_spread, budget):
+    # N up to 12 puts more improving assets outside the corral than one
+    # batch takes, and T < N flat phases with up to rank + 1 free assets
+    c = _panel_cov(n, t, seed, duplicate, sigma_spread)
+    res = min_variance_noshort(c, budget)
+    ref = brute_force_noshort(c, budget)
+    assert kkt_residual(c, res, budget) <= 1e-10
+    assert abs(res.objective - ref.objective) <= 1e-10 * (1.0 + ref.objective)
+
+
 def test_iterations_zero_outside_the_active_set():
     c = CovMatrix.from_matrix(np.diag([1.0, 4.0, 2.0]))
     assert min_variance_equality(c, 3.0).iterations == 0
