@@ -39,7 +39,7 @@ from .errors import (
     NoConvergenceError,
     PhaseBoundaryError,
 )
-from .mc import WEIGHT_ZERO_RTOL, sweep
+from .mc import WEIGHT_ZERO_RTOL, sweep, weight_histogram
 from .theory import (
     AssetUniverse,
     RegularizerParams,
@@ -224,13 +224,16 @@ def _request(args, reg=None):
 
     JSON output keeps the spec's key order: command, r_grid, n, [trials],
     sigma, constraint, [eta1, eta2], [seed], [bin_width], format, [sigmas].
+    With penalties `reg` the constraint is the corner they solve, which
+    overrides --constraint, and null for a penalized interior point.
     """
     grid = parse_r_grid(args.r_grid)
     universe, resolved = parse_sigma(args.sigma, args.n)
     spec = {"command": args.command, "r_grid": grid, "n": universe.n}
     if "trials" in args:
         spec["trials"] = args.trials
-    spec.update(sigma=args.sigma, constraint=args.constraint)
+    spec.update(sigma=args.sigma,
+                constraint=args.constraint if reg is None else _corner(reg))
     if reg is not None:
         spec.update(eta1=_spec_eta(reg.eta1), eta2=_spec_eta(reg.eta2))
     for key in ("seed", "bin_width"):
@@ -363,11 +366,8 @@ def cmd_weights(args) -> int:
         b, s = mix.center_neg, mix.spread
         hi_w = float(np.max(mix.center_pos + 8.0 * s))
         lo_w = 0.0 if np.all(np.isinf(b)) else min(0.0, float(np.min(b - 8.0 * s)))
-        mc_atom = None
         if pooled is not None:
-            at_zero = np.abs(pooled) <= WEIGHT_ZERO_RTOL
-            mc_atom = float(np.mean(at_zero))
-            live = pooled[~at_zero]
+            live = pooled[np.abs(pooled) > WEIGHT_ZERO_RTOL]
             if live.size:
                 lo_w = min(lo_w, float(live.min()))
                 hi_w = max(hi_w, float(live.max()))
@@ -375,9 +375,10 @@ def cmd_weights(args) -> int:
         hi_k = max(math.ceil(hi_w / bw), lo_k + 1)
         edges = np.arange(lo_k, hi_k + 1) * bw
         masses = mix.bin_mass(edges)
-        mc_masses = [None] * len(masses)
+        mc_atom, mc_masses = None, [None] * len(masses)
         if pooled is not None:
-            mc_masses = [float(m) for m in np.histogram(live, bins=edges)[0] / pooled.size]
+            hist = weight_histogram(pooled, edges=edges)
+            mc_atom, mc_masses = hist.atom, [float(m) for m in hist.masses]
         rows.append({**atom, "analytic_mass": sol.n0, "mc_mass": mc_atom, "status": "ok"})
         rows += [
             {"r_requested": r_req, "r": r_here, "kind": "bin", "w_lo": float(lo),

@@ -264,9 +264,14 @@ class Histogram:
 
 
 def weight_histogram(
-    weights: np.ndarray, bin_width: float = 0.05, zero_tol: float = WEIGHT_ZERO_RTOL
+    weights: np.ndarray, bin_width: float = 0.05, zero_tol: float = WEIGHT_ZERO_RTOL,
+    edges: np.ndarray | None = None,
 ) -> Histogram:
-    """Histogram pooled weights with the exact-zero atom kept out of the bins."""
+    """Histogram pooled weights with the exact-zero atom kept out of the bins.
+
+    Bins are multiples of `bin_width` covering the nonzero weights, unless
+    `edges` gives them; weights outside given edges count in no bin.
+    """
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("no weights to histogram")
@@ -275,13 +280,14 @@ def weight_histogram(
     at_zero = np.abs(w) <= zero_tol
     atom = float(np.mean(at_zero))
     wc = w[~at_zero]
-    if wc.size == 0:
-        edges = np.array([0.0, bin_width])
-        return Histogram(edges=edges, masses=np.zeros(1), atom=atom, count=w.size)
-    lo = math.floor(float(wc.min()) / bin_width)
-    hi = math.ceil(float(wc.max()) / bin_width)
-    hi = max(hi, lo + 1)
-    edges = np.arange(lo, hi + 1) * bin_width
+    if edges is None:
+        if wc.size == 0:
+            edges = np.array([0.0, bin_width])
+            return Histogram(edges=edges, masses=np.zeros(1), atom=atom, count=w.size)
+        lo = math.floor(float(wc.min()) / bin_width)
+        hi = math.ceil(float(wc.max()) / bin_width)
+        hi = max(hi, lo + 1)
+        edges = np.arange(lo, hi + 1) * bin_width
     counts, _ = np.histogram(wc, bins=edges)
     return Histogram(
         edges=edges, masses=counts / w.size, atom=atom, count=w.size

@@ -115,8 +115,13 @@ class CovMatrix:
         t = x.shape[1]
         if t < 1:
             raise CovarianceError("need at least one observation")
-        c = (x @ x.T) / t
-        c = 0.5 * (c + c.T)
+        # numpy runs x @ x.T on a C- or F-ordered x as a symmetric rank-k
+        # update (syrk) and mirrors the triangle, so c is exactly symmetric;
+        # a strided x would take a general product, so it is copied first
+        if not (x.flags.c_contiguous or x.flags.f_contiguous):
+            x = np.ascontiguousarray(x)
+        c = x @ x.T
+        c /= t
         return cls(c)
 
     @classmethod

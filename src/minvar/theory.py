@@ -272,34 +272,71 @@ def true_optimum(universe) -> OptimalPortfolio:
     return OptimalPortfolio(weights=w, risk=uni.n / c2)
 
 
-def _tail_terms(lam: float, u: float, uni: AssetUniverse, reg: RegularizerParams):
+def _tail_terms(m: float, u: float, uni: AssetUniverse, reg: RegularizerParams,
+                jac: bool = False):
     """Population averages entering the saddle equations at scale u = sqrt(-2*q0_hat).
 
-    Returns (S_W, S_Psi, S_Phi, b1, b2) where the S_* are means over assets
-    of the second, first and zeroth iterated cdf integrals evaluated at the
-    standardized band edges b1_i = (lam - eta1)/(sigma_i u) and
-    -b2_i = -(lam + eta2)/(sigma_i u). A banned negative side (eta2 = inf)
-    contributes exactly zero to every average.
+    The multiplier enters shifted, m = lam - eta1, so that b1 keeps its
+    digits where lam lies close to eta1. Returns (S_W, S_Psi, S_Phi, b1, b2,
+    d) where the S_* are means over assets of the second, first and zeroth
+    iterated cdf integrals evaluated at the standardized band edges
+    b1_i = m/(sigma_i u) and -b2_i = -(m + eta1 + eta2)/(sigma_i u). A banned
+    negative side (eta2 = inf) contributes exactly zero to every average.
+
+    Each edge costs one cdf and one pdf; the integrals are formed from them
+    as in `minvar.special`. With `jac`, d is the 3x2 array of the derivatives
+    of (S_W, S_Psi, S_Phi) in (m, u), exact through W' = Psi, Psi' = Phi,
+    Phi' = phi and db/dm = 1/(sigma u), db/du = -b/u; otherwise d is None.
     """
     sig = uni._sig
-    b1 = (lam - reg.eta1) / (sig * u)
-    s_w = norm_cdf_int2(b1)
-    s_psi = norm_cdf_int(b1) / sig
-    s_phi = norm_cdf(b1)
+    b1 = m / (sig * u)
+    cdf, pdf = norm_cdf(b1), norm_pdf(b1)
+    psi = b1 * cdf + pdf
+    s_w = 0.5 * ((b1 * b1 + 1.0) * cdf + b1 * pdf)
+    s_psi = psi / sig
+    s_phi = cdf
+    if jac:
+        d_psi_m, d_psi_u = cdf / sig, -b1 * cdf
+        d_phi_m, d_phi_u = pdf, -b1 * pdf
+        d_w_u = -b1 * psi
     if math.isinf(reg.eta2):
         b2 = np.full_like(b1, math.inf)
     else:
-        b2 = (lam + reg.eta2) / (sig * u)
-        s_w = s_w + norm_cdf_int2(-b2)
-        s_psi = s_psi - norm_cdf_int(-b2) / sig
-        s_phi = s_phi + norm_cdf(-b2)
-    return float(np.mean(s_w)), float(np.mean(s_psi)), float(np.mean(s_phi)), b1, b2
+        b2 = (m + (reg.eta1 + reg.eta2)) / (sig * u)
+        x = -b2
+        cdf2, pdf2 = norm_cdf(x), norm_pdf(x)
+        psi2 = x * cdf2 + pdf2
+        s_w = s_w + 0.5 * ((x * x + 1.0) * cdf2 + x * pdf2)
+        s_psi = s_psi - psi2 / sig
+        s_phi = s_phi + cdf2
+        if jac:
+            d_psi_m = d_psi_m + cdf2 / sig
+            d_psi_u = d_psi_u - b2 * cdf2
+            d_phi_m = d_phi_m - pdf2
+            d_phi_u = d_phi_u + b2 * pdf2
+            d_w_u = d_w_u + b2 * psi2
+    s_w, s_psi, s_phi = float(np.mean(s_w)), float(np.mean(s_psi)), float(np.mean(s_phi))
+    if not jac:
+        return s_w, s_psi, s_phi, b1, b2, None
+    d = np.array([
+        [s_psi, np.mean(d_w_u)],
+        [np.mean(d_psi_m / sig), np.mean(d_psi_u / sig)],
+        [np.mean(d_phi_m / sig), np.mean(d_phi_u)],
+    ])
+    return s_w, s_psi, s_phi, b1, b2, d / u
 
 
-def _assemble(uni, reg, r, lam, u) -> ReplicaSolution:
-    """Build the full solution record from the reduced unknowns (lam, u)."""
-    s_w, s_psi, s_phi, b1, b2 = _tail_terms(lam, u, uni, reg)
-    denom = 1.0 - r * s_phi
+def _assemble(uni, reg, r, m, u, solved=False) -> ReplicaSolution:
+    """Build the full solution record from the reduced unknowns (m = lam - eta1, u).
+
+    The susceptibility is r S_Phi / (1 - r S_Phi). At a root of the second
+    saddle equation (`solved`) the denominator equals u r S_Psi, which is
+    taken instead: it carries no cancellation where the susceptibility is
+    large, near r = 2 or under a weak penalty at r >= 1.
+    """
+    _, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
+    lam = m + reg.eta1
+    denom = u * r * s_psi if solved else 1.0 - r * s_phi
     if denom <= 0.0:
         raise CriticalPhaseError(
             "susceptibility diverges: r * mean cdf mass reached 1 (flat phase)"
@@ -311,12 +348,12 @@ def _assemble(uni, reg, r, lam, u) -> ReplicaSolution:
     delta_hat = 1.0 / (2.0 * r * v)
     sig = uni._sig
     spread = np.sqrt(q0 * r) / sig
-    w_pos = (lam - reg.eta1) * r * v / sig**2
+    w_pos = m * r * v / sig**2
     if math.isinf(reg.eta2):
         w_neg = np.full_like(sig, math.inf)
         elim = norm_cdf(-b1)
     else:
-        w_neg = (lam + reg.eta2) * r * v / sig**2
+        w_neg = (m + (reg.eta1 + reg.eta2)) * r * v / sig**2
         elim = norm_cdf(b2) - norm_cdf(b1)
     n0 = float(np.mean(elim))
     op = (lam, q0, delta, q0_hat, delta_hat)
@@ -411,7 +448,10 @@ def _noshort_root(uni: AssetUniverse, r: float) -> float:
         return float(np.mean(norm_cdf_int2(s / sig))) - target
 
     s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    return optimize.brentq(h, 0.0, s_up, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    # the absolute tolerance shrinks with the bracket within ~1e-12 of r = 2,
+    # where the root itself falls below 1e-15
+    xtol = min(1e-15, 1e-9 * s_up)
+    return optimize.brentq(h, 0.0, s_up, xtol=xtol, rtol=4 * np.finfo(float).eps)
 
 
 def noshort_solution(universe, r: float) -> ReplicaSolution:
@@ -449,7 +489,7 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
             "functional domain requires q0_hat < 0, delta_hat > 0, delta > -1"
         )
     u = math.sqrt(-2.0 * q0_hat)
-    s_w, _, _, _, _ = _tail_terms(lam, u, uni, reg)
+    s_w = _tail_terms(lam - reg.eta1, u, uni, reg)[0]
     return (
         lam
         - delta * q0_hat
@@ -462,14 +502,22 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
 def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> float:
     """Max-norm central-difference gradient of the functional at `op`.
 
-    Each coordinate steps by the cube root of eps, scaled to its magnitude.
+    Each coordinate steps by the cube root of eps times the scale on which
+    the functional varies in it: |q0|, |q0_hat| and delta_hat themselves,
+    1 + delta for delta, and for lam its distance lam - eta1 from the
+    positive band edge, but no less than the narrowest edge width
+    min(sigma) * u. No step leaves the functional's domain.
     Values below ~1e-6 certify stationarity at solver accuracy.
     """
     x = np.asarray(op, dtype=float)
+    lam, q0, delta, q0_hat, delta_hat = x
+    u = math.sqrt(-2.0 * q0_hat) if q0_hat < 0 else 0.0
+    edge = min(as_universe(universe).sigmas) * u
+    scale = (max(abs(lam - reg.eta1), edge), abs(q0), 1.0 + abs(delta), -q0_hat, delta_hat)
     rel = float(np.cbrt(np.finfo(float).eps))
     grad = np.zeros_like(x)
     for k in range(5):
-        h = rel * max(abs(x[k]), 1e-2)
+        h = rel * (scale[k] if scale[k] > 0 else 1e-2)
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
@@ -479,46 +527,81 @@ def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> flo
     return float(np.max(np.abs(grad)))
 
 
-def _initial_guesses(uni, r, reg):
-    """Candidate starting points (lam, u) for the damped Newton solve, r < 2."""
+def _initial_guesses(uni, r):
+    """Candidate starting points (m, u) for the damped Newton solve, r < 2."""
     out = []
-    # banned-shorts anchor, shifted by the positive-side penalty
-    m0 = _noshort_root(uni, r)
-    if m0 > 0:
-        out.append((m0 * m0 + reg.eta1, m0))
+    # banned-shorts anchor: m = s0^2 puts the positive edge where the ban has it
+    s0 = _noshort_root(uni, r)
+    if s0 > 0:
+        out.append((s0 * s0, s0))
     if r < 1:
         lam_u = (1.0 - r) / (r * uni.mean_inv_var)
-        out.append((lam_u + reg.eta1, math.sqrt(lam_u)))
-    out.append((1.0 + reg.eta1, 1.0))
+        out.append((lam_u, math.sqrt(lam_u)))
+    out.append((1.0, 1.0))
     return out
+
+
+def _saddle_residual(x, uni, r, reg):
+    """Residual of both saddle equations at x = (m, u), and its exact Jacobian."""
+    m, u = x
+    s_w, s_psi, s_phi, _, _, d = _tail_terms(m, u, uni, reg, jac=True)
+    f = np.array([2.0 * r * s_w - 1.0, u * r * s_psi - 1.0 + r * s_phi])
+    jac = np.array([
+        [2.0 * r * d[0, 0], 2.0 * r * d[0, 1]],
+        [r * (u * d[1, 0] + d[2, 0]), r * (s_psi + u * d[1, 1] + d[2, 1])],
+    ])
+    return f, jac
 
 
 # damped Newton of general_l1_solve: residual target and iteration budget
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+# general_l1_solve treats r within this of 2 as critical: the susceptibility
+# ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13, not below
+CRITICAL_MARGIN = 1e-13
+_UNPINNED = "saddle solve ill-determined: the residual tolerance does not pin the root"
+# log of sqrt(tiny): the smallest scale u whose q0_hat = -u^2/2 is a normal double
+_LOG_U_MIN = 0.5 * math.log(np.finfo(float).tiny)
 
 
 def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolution:
     """Solve the asymmetric-penalty saddle equations by damped Newton.
 
-    The five-parameter system reduces to two unknowns, the multiplier lam
-    and the scale u = sqrt(-2*q0_hat):
+    The five-parameter system reduces to two unknowns, the shifted
+    multiplier m = lam - eta1 and the scale u = sqrt(-2*q0_hat):
 
-        2 r * S_W(lam, u) = 1
-        u r * S_Psi(lam, u) = 1 - r * S_Phi(lam, u)
+        2 r * S_W(m, u) = 1
+        u r * S_Psi(m, u) = 1 - r * S_Phi(m, u)
 
-    with the averages of `_tail_terms`. The Jacobian is taken by central
-    differences and steps are backtracked to keep lam, u positive and the
-    residual decreasing. Corners reproduce the closed forms: eta = (0, 0)
-    matches `unconstrained_solution`, eta = (0, inf) matches
-    `noshort_solution`.
+    with the averages of `_tail_terms`. Iterating on m rather than lam keeps
+    the positive band edge m/(sigma u) exact where lam lies within a few
+    ulps of a large eta1. The Jacobian is exact, from the derivatives
+    `_tail_terms` forms out of the same cdf and pdf arrays as the residual,
+    so each candidate point costs one cdf and one pdf per band edge. Steps
+    are backtracked to keep m and u positive (every budget-feasible
+    portfolio pays eta1 per unit budget, so lam >= eta1 at the solution)
+    and the residual decreasing. If Newton from the best of
+    `_initial_guesses` stops short of a root pinned to NEWTON_TOL, it runs
+    again from `_bracketed_start`; a pinned or smaller residual wins.
+    Corners reproduce the closed forms: eta = (0, 0) matches
+    `unconstrained_solution`, eta = (0, inf) matches `noshort_solution`.
 
-    Raises PhaseBoundaryError / CriticalPhaseError off the feasible phase
-    and NoConvergenceError if NEWTON_MAX_ITER iterations are spent. Every
-    penalized problem is critical from r = 2 on: beyond it a long-only
-    zero-variance portfolio exists with probability -> 1 (Wendel 1962),
-    and it pays only the penalty eta1 * N that every budget-feasible
-    portfolio pays at least, so the optimum is flat.
+    Raises PhaseBoundaryError / CriticalPhaseError off the feasible phase,
+    and NoConvergenceError if no start reaches a residual below 1e-10 or,
+    at r < 1, the tolerance does not pin the root (the next Newton step
+    would move it by more than 1%). Every penalized problem is critical
+    from r = 2 on: beyond it a long-only zero-variance portfolio exists
+    with probability -> 1 (Wendel 1962), and it pays only the penalty
+    eta1 * N that every budget-feasible portfolio pays at least, so the
+    optimum is flat. Within CRITICAL_MARGIN below r = 2 it raises
+    CriticalPhaseError as well. At r >= 1 the penalty-free limit has no
+    solution: the scale u shrinks with eta = eta1 + eta2 while the
+    susceptibility grows. A penalty too weak to resolve in double precision
+    raises PhaseBoundaryError: one that puts u below sqrt(tiny) ~ 1.5e-154,
+    whose 1/delta rounds to zero, whose widest band eta / (sigma u) falls
+    below 1e-13, or that leaves the root unpinned. For r > 1 that takes eta
+    far below 1e-100 sigma; at r = 1 itself u ~ eta^(1/3), and the band
+    ~ eta^(2/3) reaches 1e-13 near eta ~ 1e-19 sigma.
     """
     uni = as_universe(universe)
     if r <= 0:
@@ -527,67 +610,133 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
         raise PhaseBoundaryError(
             f"penalty-free system has no solution at r = {r:g} (boundary r = 1)"
         )
-    if r >= 2:
+    if r > 2.0 - CRITICAL_MARGIN:
         raise CriticalPhaseError(
-            f"penalized system has no solution at r = {r:g} (critical r = 2)"
-        )
-
-    def residual(x):
-        s_w, s_psi, s_phi = _tail_terms(x[0], x[1], uni, reg)[:3]
-        return np.array(
-            [2.0 * r * s_w - 1.0, x[1] * r * s_psi - 1.0 + r * s_phi]
+            f"penalized system has no solution at r = {r!r} (critical r = 2; "
+            f"within {CRITICAL_MARGIN:g} below it, 2 - r is lost in rounding)"
         )
 
     best = None
-    for cand in _initial_guesses(uni, r, reg):
+    for cand in _initial_guesses(uni, r):
         x = np.array(cand, dtype=float)
-        fx = residual(x)
-        norm = float(np.max(np.abs(fx)))
-        if best is None or norm < best[2]:
-            best = (x, fx, norm)
-    x, fx, norm = best
+        fx, jac = _saddle_residual(x, uni, r, reg)
+        if best is None or np.max(np.abs(fx)) < np.max(np.abs(best[1])):
+            best = (x, fx, jac)
+    x, norm, why = _newton(*best, uni, r, reg)
+    if why is not None:
+        # a poor start stalls against the m = 0 wall, at a spurious root, or
+        # where the equations are nearly degenerate (r ~ 1 under a weak penalty)
+        start = np.array(_bracketed_start(uni, r, reg))
+        alt = _newton(start, *_saddle_residual(start, uni, r, reg), uni, r, reg)
+        if alt[2] is None or alt[1] <= norm:
+            x, norm, why = alt
+    if norm >= 1e-10 or (why == _UNPINNED and r < 1):
+        raise NoConvergenceError(why, iterate=tuple(x), residual=norm)
+    m, u = float(x[0]), float(x[1])
+    # from r = 1 on only the penalty keeps the solution finite: the root must
+    # be pinned and the widest band eta / (sigma u) stand above rounding
+    widest = (reg.eta1 + reg.eta2) / (float(np.min(uni._sig)) * u)
+    resolved = r < 1 or (why != _UNPINNED and widest > 1e-13)
+    if math.log(u) >= _LOG_U_MIN and resolved:
+        try:
+            return _assemble(uni, reg, r, m, u, solved=True)
+        except CriticalPhaseError:
+            pass  # u r S_Psi rounded to 0: m and the penalty are below resolution
+    raise _unrepresentable(r, reg)
 
+
+def _newton(x, fx, jac, uni, r, reg):
+    """Damped Newton on (m, u) from x, whose residual and Jacobian are given.
+
+    Returns (x, residual max-norm, why), `why` naming the reason the
+    iteration stopped short of a root pinned to NEWTON_TOL, or None.
+    """
+    norm = float(np.max(np.abs(fx)))
     floor = 1e-300
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             break
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(abs(x[j]), 1e-3)
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
-            raise NoConvergenceError(
-                "singular Jacobian in saddle solve", iterate=tuple(x), residual=norm
-            )
+            return x, norm, "singular Jacobian in saddle solve"
         alpha = 1.0
         while alpha > 1e-14:
             xn = x + alpha * step
+            # physical roots have m = lam - eta1 > 0: the in-sample cost per
+            # unit budget is at least the eta1 every budget-feasible portfolio pays
             if xn[0] > floor and xn[1] > floor:
-                fn = residual(xn)
+                fn, jn = _saddle_residual(xn, uni, r, reg)
                 nn = float(np.max(np.abs(fn)))
                 if nn < norm * (1.0 - 1e-4 * alpha) or nn < NEWTON_TOL:
-                    x, fx, norm = xn, fn, nn
+                    x, fx, jac, norm = xn, fn, jn, nn
                     break
             alpha *= 0.5
         else:
-            # stagnated: accept if already at contract accuracy
-            if norm < 1e-10:
-                break
+            return x, norm, "saddle solve stagnated"
+    if norm >= NEWTON_TOL:
+        return x, norm, f"saddle solve above residual contract after {NEWTON_MAX_ITER} iterations"
+    # at a root the tolerance pins, the next step is far below the point
+    # itself; not so where the equations barely see the unknowns (r = 1
+    # under a penalty of ~1e-12 sigma: any small m solves them to 1e-12)
+    try:
+        step = np.linalg.solve(jac, -fx)
+    except np.linalg.LinAlgError:
+        return x, norm, _UNPINNED
+    return x, norm, None if np.all(np.abs(step) <= 1e-2 * x) else _UNPINNED
+
+
+def _bracketed_start(uni, r, reg) -> tuple[float, float]:
+    """A point near the physical root, by bracketing, for Newton to polish.
+
+    For fixed u the first saddle equation rises in m > 0, so it has at most
+    one root m(u) there. Along that curve the second equation is negative
+    as u -> 0 and positive where m(u) reaches 0 or, for r < 1 and under a
+    ban, as u grows. Both roots are bracketed in log scale, so a weak
+    penalty that puts u many decades below 1 costs no more than a strong one.
+    """
+    def eqs(m, u):
+        return _saddle_residual(np.array([m, u]), uni, r, reg)[0]
+
+    def m_root(u):
+        """The root m(u) > 0 of the first equation, None past the curve's end."""
+        if eqs(0.0, u)[0] >= 0.0:
+            return None
+        hi = math.log(u)
+        while eqs(math.exp(hi), u)[0] < 0.0:
+            hi += 2.0
+        # below u * sqrt(tiny) the edge m/(sigma u) no longer moves the equation
+        lo = math.log(u) + _LOG_U_MIN
+        return math.exp(optimize.brentq(lambda t: eqs(math.exp(t), u)[0], lo, hi))
+
+    def second(log_u):
+        u = math.exp(log_u)
+        m = m_root(u)
+        return 1.0 if m is None else eqs(m, u)[1]
+
+    # a nan (edges past 1e154 overflow W) counts as not bracketing
+    lo = hi = -0.5 * math.log(uni.mean_inv_var)
+    while not second(lo) < 0.0:
+        lo -= 4.0
+        if lo < _LOG_U_MIN:
+            raise _unrepresentable(r, reg)
+    while not second(hi) >= 0.0:
+        hi += 4.0
+        if hi > -_LOG_U_MIN:
             raise NoConvergenceError(
-                "saddle solve stagnated", iterate=tuple(x), residual=norm
+                "saddle solve found no bracket on the physical branch",
+                iterate=(math.exp(lo), math.exp(hi)), residual=math.inf,
             )
-    if norm >= 1e-10:
-        raise NoConvergenceError(
-            f"saddle solve above residual contract after {NEWTON_MAX_ITER} iterations",
-            iterate=tuple(x),
-            residual=norm,
-        )
-    return _assemble(uni, reg, r, float(x[0]), float(x[1]))
+    u = math.exp(optimize.brentq(second, lo, hi, xtol=1e-12))
+    return m_root(u), u
+
+
+def _unrepresentable(r, reg) -> PhaseBoundaryError:
+    return PhaseBoundaryError(
+        f"penalty eta = ({reg.eta1:g}, {reg.eta2:g}) is too weak at r = {r:g} "
+        "to resolve in double precision: the penalty-free limit has no "
+        "solution from r = 1 on"
+    )
 
 
 def critical_asymptotics(universe) -> CriticalPoint:

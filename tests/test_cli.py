@@ -329,6 +329,25 @@ def test_weights_monte_carlo_uses_the_law_corner(tmp_path):
     assert atom["mc_mass"] > 0.0
 
 
+def test_spec_names_the_solved_constraint(tmp_path):
+    # a penalty overrides --constraint: the spec names the corner it solves,
+    # or null for a penalized interior point
+    out = tmp_path / "ws.csv"
+    code = run_cli(
+        "weights", "--r-grid", "0.5", "--n", "10", "--trials", "5",
+        "--constraint", "equality", "--eta2", "inf", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert read_table(str(out))[0]["constraint"] == "noshort"
+    out2 = tmp_path / "rs.json"
+    code = run_cli(
+        "replica", "--r-grid", "0.8", "--n", "2", "--eta1", "0.3", "--eta2", "1.5",
+        "--format", "json", "--out", str(out2),
+    )
+    assert code == EXIT_OK
+    assert read_table(str(out2))[0]["constraint"] is None
+
+
 def test_weights_rejects_mc_off_corners(capsys):
     code = run_cli(
         "weights", "--r-grid", "0.8", "--n", "4", "--trials", "5", "--eta2", "0.7"

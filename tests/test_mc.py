@@ -192,3 +192,16 @@ def test_weight_histogram_validation():
     h = weight_histogram(np.zeros(5))
     assert h.atom == 1.0
     assert h.masses.sum() == 0.0
+
+
+def test_weight_histogram_on_given_edges():
+    w = np.array([0.0, 1e-12, -0.3, 0.05, 0.12, 0.12, 0.49, 2.0])
+    own = weight_histogram(w, bin_width=0.1)
+    same = weight_histogram(w, edges=own.edges)
+    assert np.array_equal(same.edges, own.edges) and np.array_equal(same.masses, own.masses)
+    h = weight_histogram(w, edges=np.array([0.0, 0.25, 0.5]))
+    assert h.atom == 2 / 8 and h.count == 8
+    # weights outside the given edges count in no bin
+    assert np.array_equal(h.masses, np.array([3, 1]) / 8)
+    empty = weight_histogram(np.zeros(3), edges=np.array([-1.0, 0.0, 1.0]))
+    assert empty.atom == 1.0 and np.array_equal(empty.masses, np.zeros(2))

@@ -48,6 +48,17 @@ def test_from_returns_shape_and_flag():
     assert under.rank <= 4
 
 
+@pytest.mark.parametrize("n, t", [(1, 1), (5, 20), (40, 7), (100, 333)])
+def test_from_returns_is_exactly_symmetric(n, t):
+    # C-ordered, F-ordered and strided panels; a strided one taken straight
+    # through a general product comes out asymmetric in the last bits
+    base = np.random.default_rng(n * t).standard_normal((n, 2 * t))
+    for x in (np.ascontiguousarray(base[:, :t]), np.asfortranarray(base[:, :t]), base[:, ::2]):
+        c = CovMatrix.from_returns(x).matrix
+        assert np.array_equal(c, c.T)
+        assert np.allclose(c, x @ x.T / t, rtol=1e-13, atol=1e-13)
+
+
 def test_from_matrix_validation():
     with pytest.raises(CovarianceError):
         CovMatrix.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))

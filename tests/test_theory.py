@@ -18,6 +18,7 @@ from minvar import (
     NoConvergenceError,
     PhaseBoundaryError,
     RegularizerParams,
+    build_mixture,
     critical_asymptotics,
     free_energy_functional,
     general_l1_solve,
@@ -27,7 +28,8 @@ from minvar import (
     true_optimum,
     unconstrained_solution,
 )
-from minvar.special import norm_cdf, norm_cdf_int2
+from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
+from minvar.theory import CRITICAL_MARGIN, _saddle_residual
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +389,125 @@ def test_error_hierarchy():
     err = NoConvergenceError("stalled", iterate=(1.0, 2.0), residual=3e-4)
     assert err.iterate == (1.0, 2.0)
     assert err.residual == 3e-4
+
+
+# ---------------------------------------------------------------------------
+# General two-sided solver: property test over the whole penalty family
+# ---------------------------------------------------------------------------
+
+
+def _saddle_equations(sol):
+    """Residuals of both saddle equations at `sol`, from special functions only.
+
+    The shifted multiplier m = lam - eta1 is read back from the positive
+    centers m * r * (1 + delta) / sigma^2, which carry it to full relative
+    precision even where lam lies within a few ulps of eta1.
+    """
+    sig = np.asarray(sol.universe.sigmas)
+    r, reg = sol.r, sol.reg
+    u = math.sqrt(-2.0 * sol.q0_hat)
+    m = sol.center_pos * sig**2 / (r * (1.0 + sol.delta))
+    b1 = m / (sig * u)
+    s_w, s_psi, s_phi = norm_cdf_int2(b1), norm_cdf_int(b1) / sig, norm_cdf(b1)
+    if not reg.bans_shorts:
+        b2 = (sol.lam + reg.eta2) / (sig * u)
+        s_w = s_w + norm_cdf_int2(-b2)
+        s_psi = s_psi - norm_cdf_int(-b2) / sig
+        s_phi = s_phi + norm_cdf(-b2)
+    return (2.0 * r * np.mean(s_w) - 1.0,
+            u * r * np.mean(s_psi) - 1.0 + r * np.mean(s_phi))
+
+
+def _stationarity_tolerance(sol):
+    """1e-6, widened by the roundoff floor of the finite differences.
+
+    Each central difference steps a coordinate by ~6e-6 of the scale on
+    which the functional varies in it, so its roundoff is ~eps/6e-6 of the
+    largest term of the functional over that scale. Near r = 2, q0_hat and
+    delta_hat are tiny and that floor exceeds any fixed threshold.
+    """
+    lam, q0, delta, q0_hat, delta_hat = sol.order_params
+    r = sol.r
+    terms = max(abs(lam), abs(delta * q0_hat), abs(delta_hat * q0),
+                q0 / (2.0 * r * (1.0 + delta)), -q0_hat / (2.0 * r * delta_hat))
+    edge = min(sol.universe.sigmas) * math.sqrt(-2.0 * q0_hat)
+    scales = (max(lam - sol.reg.eta1, edge), q0, 1.0 + delta, -q0_hat, delta_hat)
+    return 1e-6 * max(1.0, terms / min(scales))
+
+
+def _check_penalized(uni, r, reg):
+    if reg == RegularizerParams.none() and r >= 1:
+        with pytest.raises(PhaseBoundaryError):
+            general_l1_solve(uni, r, reg)
+        return
+    if r > 2.0 - CRITICAL_MARGIN:
+        with pytest.raises(CriticalPhaseError):
+            general_l1_solve(uni, r, reg)
+        return
+    try:
+        sol = general_l1_solve(uni, r, reg)
+    except PhaseBoundaryError as exc:
+        # documented: at r >= 1 a penalty too weak to resolve in double
+        # precision; at r = 1 the equations lose eta from ~1e-20 sigma on
+        assert "too weak" in str(exc)
+        assert r >= 1 and reg.eta1 + reg.eta2 < 1e-12 * max(uni.sigmas)
+        return
+    # ReplicaSolution itself checks lam, q0, delta_hat > 0 > q0_hat,
+    # delta >= 0 and n0 in [0, 1]
+    assert sol.r == r and sol.reg == reg
+    # every budget-feasible portfolio pays eta1 per unit budget
+    assert sol.lam >= reg.eta1
+    assert sol.q0_tilde >= 1.0 - 1e-9
+    assert max(abs(e) for e in _saddle_equations(sol)) < 1e-10
+    assert stationarity_residual(sol.order_params, uni, r, reg) < _stationarity_tolerance(sol)
+    assert build_mixture(sol).mean() == pytest.approx(1.0, rel=1e-9)
+    if reg == RegularizerParams.none():
+        ref, gap = unconstrained_solution(uni, r), 1.0 - r
+    elif reg == RegularizerParams.short_ban():
+        ref, gap = noshort_solution(uni, r), 2.0 - r
+    else:
+        return
+    # both solvers resolve their equations to ~eps; the order parameters
+    # inherit a condition number ~1/gap from the nearby phase boundary
+    for a, b in zip(sol.order_params, ref.order_params):
+        assert a == pytest.approx(b, rel=1e-8 + 1e-14 / gap, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_r=st.floats(math.log(1e-6), math.log(2.0), exclude_max=True),
+    spread=st.floats(0.0, 3.0),
+    n=st.integers(1, 39),
+    seed=st.integers(0, 2**16),
+    eta1=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    eta2=st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 50.0)),
+)
+def test_penalized_solver_property(log_r, spread, n, seed, eta1, eta2):
+    # eta1 = inf is refused by RegularizerParams itself (test_regularizer_validation)
+    uni = AssetUniverse.lognormal(0.0, spread, n, seed)
+    _check_penalized(uni, math.exp(log_r), RegularizerParams(eta1, eta2))
+
+
+def test_penalized_solver_wide_spread_large_eta1():
+    # sigma from 2e-4 to 203: lam sits at eta1 * (1 + 6e-7), so forming
+    # lam - eta1 in the unknowns would discard about six digits of b1
+    uni = AssetUniverse.lognormal(0.0, 2.873252209593038, 30, 250)
+    _check_penalized(uni, 0.05623889436770299, RegularizerParams(32.45170760348181, 0.0))
+
+
+@pytest.mark.parametrize("reg", [RegularizerParams(0.3, math.inf), RegularizerParams(0.3, 1.5)])
+def test_saddle_jacobian_matches_central_differences(reg):
+    uni = AssetUniverse.lognormal(0.0, 0.8, 25, 11)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r = float(rng.uniform(0.05, 1.95))
+        x = np.array([rng.uniform(-0.25, 3.0), rng.uniform(0.1, 3.0)])
+        _, jac = _saddle_residual(x, uni, r, reg)
+        fd = np.empty((2, 2))
+        for j in range(2):
+            h = 1e-6 * max(abs(x[j]), 1e-2)
+            e = np.zeros(2)
+            e[j] = h
+            fd[:, j] = (_saddle_residual(x + e, uni, r, reg)[0]
+                        - _saddle_residual(x - e, uni, r, reg)[0]) / (2.0 * h)
+        assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
