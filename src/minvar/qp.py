@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import qr_delete, solve_triangular
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpstrf
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -225,13 +225,15 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
 
     if rank < n:
-        # L = Q S; in pivoted order the null space of C is orthogonal to Q.
+        # L = Q S, with Q kept as the reflectors of dgeqrf and applied by
+        # dormqr; in pivoted order the null space of C is orthogonal to Q.
         # The second projection removes the rounding 1 - Q Q'1 leaves in the
         # range of Q, which C would amplify by 1/1'z when z is small.
-        q, s_fac = np.linalg.qr(l)
-        a = q.T @ ones
-        z = ones - q @ a
-        z -= q @ (q.T @ z)
+        qr, tau, _, _ = dgeqrf(l, lwork=int(dgeqrf_lwork(n, max(rank, 1))[0]))
+        s_fac = qr[:rank]
+        a = _reflect(qr, tau, ones, "T")[:rank]
+        z = ones - _reflect(qr, tau, a, "N")
+        z -= _reflect(qr, tau, _reflect(qr, tau, z, "T")[:rank], "N")
         if float(z @ z) > FLAT_RTOL * n:
             w = np.empty(n)
             w[piv] = (b / float(np.sum(z))) * z
@@ -247,7 +249,7 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
             )
         # C^+ 1 = Q S^-T S^-1 Q' 1
         y = solve_triangular(s_fac, a, check_finite=False)
-        x = q @ solve_triangular(s_fac, y, trans=1, check_finite=False)
+        x = _reflect(qr, tau, solve_triangular(s_fac, y, trans=1, check_finite=False), "N")
     else:
         y = solve_triangular(l, ones, lower=True, check_finite=False)
         x = solve_triangular(l, y, lower=True, trans=1, check_finite=False)
@@ -265,6 +267,19 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         constraint="equality",
         lam=2.0 * b / s,
     )
+
+
+def _reflect(qr: np.ndarray, tau: np.ndarray, v: np.ndarray, trans: str) -> np.ndarray:
+    """Q v ("N") or Q' v ("T") for the N x N orthogonal Q of a dgeqrf factor.
+
+    For "N", a v shorter than N is padded with zeros, so Q v is the thin
+    factor's product; for "T" the first rank entries are the thin Q' v.
+    """
+    c = np.zeros((qr.shape[0], 1), order="F")
+    c[: v.shape[0], 0] = v
+    if tau.size == 0:  # rank 0: Q = I, and dormqr refuses an empty factor
+        return c[:, 0]
+    return dormqr("L", trans, qr, tau, c, 1, overwrite_c=1)[0][:, 0]
 
 
 class _Corral:

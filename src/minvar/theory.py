@@ -24,6 +24,10 @@ The module exposes:
   * closed-form behavior at the critical ratio r = 2
     (`critical_asymptotics`).
 
+Scalar roots are bracketed and found by `_brentq`, a port of scipy's Brent
+solver that returns the same roots to the bit; the runtime needs only
+scipy.special (through `minvar.special`), not scipy.optimize.
+
 Order parameters follow one convention everywhere: `lam` is the budget
 multiplier (twice the free energy at the relevant corners), `delta` the
 response susceptibility, `q0` the overlap whose rescaling
@@ -35,7 +39,7 @@ asset's weight law on `ReplicaSolution`, the noiseless weights on
 
 Outside its phase a branch raises instead of extrapolating:
 PhaseBoundaryError at r >= 1 for the unconstrained branch,
-CriticalPhaseError at r >= 2 for the banned/penalized branch.
+CriticalPhaseError at r > 2 - CRITICAL_MARGIN for the banned/penalized branch.
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import CriticalPhaseError, NoConvergenceError, PhaseBoundaryError
 from .special import norm_cdf, norm_cdf_int, norm_cdf_int2, norm_pdf
+
+# the banned and penalized branches treat r within this of 2 as critical: the
+# susceptibility ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13,
+# not below, where 2 - r is lost in rounding
+CRITICAL_MARGIN = 1e-13
 
 __all__ = [
     "AssetUniverse",
@@ -334,7 +342,7 @@ def _assemble(uni, reg, r, m, u, solved=False) -> ReplicaSolution:
     taken instead: it carries no cancellation where the susceptibility is
     large, near r = 2 or under a weak penalty at r >= 1.
     """
-    _, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
+    s_w, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
     lam = m + reg.eta1
     denom = u * r * s_psi if solved else 1.0 - r * s_phi
     if denom <= 0.0:
@@ -356,8 +364,7 @@ def _assemble(uni, reg, r, m, u, solved=False) -> ReplicaSolution:
         w_neg = (m + (reg.eta1 + reg.eta2)) * r * v / sig**2
         elim = norm_cdf(b2) - norm_cdf(b1)
     n0 = float(np.mean(elim))
-    op = (lam, q0, delta, q0_hat, delta_hat)
-    f = free_energy_functional(op, uni, r, reg)
+    f = _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
     return ReplicaSolution(
         r=r,
         lam=lam,
@@ -399,7 +406,7 @@ def unconstrained_solution(universe, r: float) -> ReplicaSolution:
 
 
 def noshort_lambda(universe, r: float) -> float:
-    """Budget multiplier of the banned-shorts estimator, 0 < r < 2.
+    """Budget multiplier of the banned-shorts estimator, 0 < r <= 2 - CRITICAL_MARGIN.
 
     Solves mean_i W(sqrt(lam)/sigma_i) = 1/(2r) with W the second iterated
     cdf integral. The root find runs in s = sqrt(lam), where the equation
@@ -408,6 +415,9 @@ def noshort_lambda(universe, r: float) -> float:
     A final Newton step in lam polishes the residual below
     1e-12 * max(1, 1/(2r)): absolute for r >= 1/2, relative to the target
     below, where the target outgrows what double precision resolves to 1e-12.
+    Within CRITICAL_MARGIN below r = 2 it raises CriticalPhaseError, as
+    `general_l1_solve` does: there 1 - r * mean Phi, the susceptibility's
+    denominator, is lost in rounding.
     """
     uni = as_universe(universe)
     if r <= 0:
@@ -418,6 +428,8 @@ def noshort_lambda(universe, r: float) -> float:
             "critical ratio r = 2 a zero-variance portfolio exists with "
             "probability one"
         )
+    if r > 2.0 - CRITICAL_MARGIN:
+        raise _near_critical("banned-shorts estimator", r)
     sig = uni._sig
     target = 0.5 / r
     s = _noshort_root(uni, r)
@@ -451,7 +463,79 @@ def _noshort_root(uni: AssetUniverse, r: float) -> float:
     # the absolute tolerance shrinks with the bracket within ~1e-12 of r = 2,
     # where the root itself falls below 1e-15
     xtol = min(1e-15, 1e-9 * s_up)
-    return optimize.brentq(h, 0.0, s_up, xtol=xtol, rtol=4 * np.finfo(float).eps)
+    return _brentq(h, 0.0, s_up, xtol=xtol)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy's brentq.c, the solver behind
+    scipy.optimize.brentq (BSD-3-Clause; Copyright (c) 2001-2002 Enthought,
+    Inc. and 2003- the SciPy Developers), after Brent (1973), "Algorithms
+    for Minimization without Derivatives", ch. 4. It keeps scipy's step
+    order, interpolation test and tolerance 2 delta = xtol + rtol |x|, so
+    roots agree with scipy's to the bit. As scipy's wrapper does, it returns
+    an endpoint whose value is exactly 0 and raises ValueError when f(xa)
+    and f(xb) have the same sign or f returns nan, RuntimeError after
+    maxiter iterations.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def neg(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if neg(fpre) == neg(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and neg(fpre) != neg(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by a zero den into an inf or nan step, which bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def noshort_solution(universe, r: float) -> ReplicaSolution:
@@ -490,6 +574,11 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
         )
     u = math.sqrt(-2.0 * q0_hat)
     s_w = _tail_terms(lam - reg.eta1, u, uni, reg)[0]
+    return _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
+
+
+def _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w) -> float:
+    """The functional's value, given S_W at u = sqrt(-2 q0_hat) and m = lam - eta1."""
     return (
         lam
         - delta * q0_hat
@@ -556,9 +645,6 @@ def _saddle_residual(x, uni, r, reg):
 # damped Newton of general_l1_solve: residual target and iteration budget
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-# general_l1_solve treats r within this of 2 as critical: the susceptibility
-# ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13, not below
-CRITICAL_MARGIN = 1e-13
 _UNPINNED = "saddle solve ill-determined: the residual tolerance does not pin the root"
 # log of sqrt(tiny): the smallest scale u whose q0_hat = -u^2/2 is a normal double
 _LOG_U_MIN = 0.5 * math.log(np.finfo(float).tiny)
@@ -611,10 +697,7 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
             f"penalty-free system has no solution at r = {r:g} (boundary r = 1)"
         )
     if r > 2.0 - CRITICAL_MARGIN:
-        raise CriticalPhaseError(
-            f"penalized system has no solution at r = {r!r} (critical r = 2; "
-            f"within {CRITICAL_MARGIN:g} below it, 2 - r is lost in rounding)"
-        )
+        raise _near_critical("penalized system", r)
 
     best = None
     for cand in _initial_guesses(uni, r):
@@ -707,7 +790,7 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
             hi += 2.0
         # below u * sqrt(tiny) the edge m/(sigma u) no longer moves the equation
         lo = math.log(u) + _LOG_U_MIN
-        return math.exp(optimize.brentq(lambda t: eqs(math.exp(t), u)[0], lo, hi))
+        return math.exp(_brentq(lambda t: eqs(math.exp(t), u)[0], lo, hi))
 
     def second(log_u):
         u = math.exp(log_u)
@@ -727,8 +810,15 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
                 "saddle solve found no bracket on the physical branch",
                 iterate=(math.exp(lo), math.exp(hi)), residual=math.inf,
             )
-    u = math.exp(optimize.brentq(second, lo, hi, xtol=1e-12))
+    u = math.exp(_brentq(second, lo, hi, xtol=1e-12))
     return m_root(u), u
+
+
+def _near_critical(what, r) -> CriticalPhaseError:
+    return CriticalPhaseError(
+        f"{what} has no solution at r = {r!r} (critical r = 2; "
+        f"within {CRITICAL_MARGIN:g} below it, 2 - r is lost in rounding)"
+    )
 
 
 def _unrepresentable(r, reg) -> PhaseBoundaryError:

@@ -149,6 +149,17 @@ def test_replica_refuses_boundary_rows_but_exits_zero(tmp_path):
     assert rows2[1]["status"] == "critical-boundary"
 
 
+def test_noshort_replica_is_critical_within_margin_of_r_2(tmp_path):
+    out = tmp_path / "m.csv"
+    grid = "1.9999999999998,1.999999999999999,1.9999999999999996"
+    code = run_cli("replica", "--r-grid", grid, "--n", "20", "--constraint", "noshort",
+                   "--sigma", "lognormal:0.0,1.5,1", "--out", str(out))
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    assert [row["status"] for row in rows] == ["ok", "critical-boundary", "critical-boundary"]
+    assert rows[1]["delta"] is None
+
+
 def test_replica_small_ratios_solve(tmp_path):
     # Targets 1/(2r) of 1e4..5e5, where an absolute 1e-12 root residual is
     # below double-precision resolution.

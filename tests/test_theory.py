@@ -7,9 +7,12 @@ point of the variational functional via finite differences.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from minvar import (
@@ -29,7 +32,7 @@ from minvar import (
     unconstrained_solution,
 )
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
-from minvar.theory import CRITICAL_MARGIN, _saddle_residual
+from minvar.theory import CRITICAL_MARGIN, _brentq, _saddle_residual
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,121 @@ def test_noshort_beyond_boundary_raises(r):
         noshort_solution(uni, r)
 
 
+@pytest.mark.parametrize(
+    "uni, gap",
+    [
+        (AssetUniverse.lognormal(0.0, 1.5, 20, 1), 4.4e-16),
+        (AssetUniverse.constant(1.0, 20), 1e-15),
+        (AssetUniverse.constant(1.0, 20), 4.4e-16),
+    ],
+)
+def test_noshort_refuses_within_critical_margin(uni, gap):
+    # below the margin 1 - r * mean Phi is lost in rounding: the spread
+    # universe answered delta * (2 - r) = 2 against the asymptote 4, the
+    # uniform one 9 at gap 1e-15 and a rounded-to-zero denominator at 4.4e-16
+    r = 2.0 - gap
+    for solve in (noshort_lambda, noshort_solution):
+        with pytest.raises(CriticalPhaseError, match="lost in rounding"):
+            solve(uni, r)
+
+
+@pytest.mark.parametrize(
+    "uni",
+    [AssetUniverse.lognormal(0.0, 1.5, 20, 1), AssetUniverse.constant(1.0, 20)],
+)
+def test_noshort_answers_just_outside_critical_margin(uni):
+    r = 2.0 - 2e-13
+    assert r <= 2.0 - CRITICAL_MARGIN
+    sol = noshort_solution(uni, r)
+    assert sol.delta * (2.0 - r) == pytest.approx(critical_asymptotics(uni).delta_slope, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Brent root finder
+# ---------------------------------------------------------------------------
+
+
+def _both_brentq(f, a, b, **kw):
+    """(outcome of _brentq, outcome of scipy's brentq): a root or an exception type."""
+    out = []
+    for solve in (_brentq, scipy.optimize.brentq):
+        try:
+            out.append(solve(f, a, b, **kw))
+        except (ValueError, RuntimeError) as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "uni",
+    [
+        AssetUniverse.constant(1.0, 50),
+        AssetUniverse.lognormal(0.0, 0.5, 200, 7),
+        AssetUniverse.lognormal(0.0, 1.5, 20, 1),
+    ],
+)
+@pytest.mark.parametrize("r", [1e-6, 0.5, 1.9, 2.0 - 1e-12])
+def test_brentq_matches_scipy_on_noshort_equation(uni, r):
+    # the bracket and tolerances of _noshort_root
+    sig = uni._sig
+
+    def h(s):
+        return float(np.mean(norm_cdf_int2(s / sig))) - 0.5 / r
+
+    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
+    xtol = min(1e-15, 1e-9 * s_up)
+    ours, ref = _both_brentq(h, 0.0, s_up, xtol=xtol, rtol=4 * np.finfo(float).eps)
+    assert isinstance(ours, float) and ours == ref
+
+
+@pytest.mark.parametrize(
+    "f, a, b, root",
+    [
+        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+        (lambda x: (x - 1.0) * (x + 2.0) * (x - 0.5), 0.7, 3.0, 1.0),
+        (lambda x: (x - 1.0) * (x + 2.0) * (x - 0.5), -5.0, 0.0, -2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: x**5 - x - 1.0, 1.0, 2.0, 1.1673039782614187),
+        # values near 1e-200, whose products underflow: scipy tests sign bits
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 0.3),
+    ],
+)
+@pytest.mark.parametrize("xtol", [2e-12, 1e-15])
+def test_brentq_matches_scipy_on_polynomials(f, a, b, root, xtol):
+    ours, ref = _both_brentq(f, a, b, xtol=xtol)
+    assert isinstance(ours, float) and ours == ref
+    assert ours == pytest.approx(root, abs=1e-11)
+
+
+def test_brentq_error_paths():
+    # an endpoint whose value is exactly 0 is returned as is
+    assert _both_brentq(lambda x: x - 1.0, 1.0, 3.0) == [1.0, 1.0]
+    assert _both_brentq(lambda x: x - 3.0, 1.0, 3.0) == [3.0, 3.0]
+    assert _both_brentq(lambda x: x * x + 1.0, -1.0, 1.0) == [ValueError, ValueError]
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    nan_inside = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
+    assert _both_brentq(nan_inside, 0.0, 1.0) == [ValueError, ValueError]
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(nan_inside, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0)
+    for maxiter in (1, 3):
+        assert _both_brentq(math.atan, -1.0, 3.0, maxiter=maxiter) == [RuntimeError] * 2
+    with pytest.raises(RuntimeError, match="after 3 iterations"):
+        _brentq(math.atan, -1.0, 3.0, maxiter=3)
+    ours, ref = _both_brentq(math.atan, -1.0, 3.0, maxiter=100)
+    assert ours == ref and abs(ours) < 1e-12
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, minvar, minvar.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Critical-point asymptotics
 # ---------------------------------------------------------------------------
@@ -299,6 +417,15 @@ def test_stationarity_oracle_has_teeth():
     lam, q0, delta, q0_hat, delta_hat = sol.order_params
     bad = (lam * 1.05, q0, delta, q0_hat, delta_hat)
     assert stationarity_residual(bad, sol.universe, sol.r, sol.reg) > 1e-3
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9])
+def test_corner_free_energy_is_the_functional_bit_for_bit(r):
+    # the solution record takes f from the S_W it already holds; at the
+    # unpenalized corners the functional re-derives the same S_W exactly
+    uni = AssetUniverse.lognormal(0.0, 0.7, 50, 3)
+    for sol in (unconstrained_solution(uni, r), noshort_solution(uni, r)):
+        assert sol.free_energy == free_energy_functional(sol.order_params, uni, r, sol.reg)
 
 
 def test_functional_value_matches_reported_free_energy():
