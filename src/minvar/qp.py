@@ -1,9 +1,10 @@
 """Finite-size minimum-variance optimizers: budget equality, optional w >= 0.
 
 Solves min w' C w subject to sum(w) = budget, and optionally w >= 0, for a
-dense PSD covariance C. Each covariance is factored once, by a pivoted
-Cholesky decomposition truncated at its numerical rank (LAPACK dpstrf),
-which certifies rank for both solvers. The equality problem is two
+dense PSD covariance C. A solver that needs a factor of C forms it, by a
+pivoted Cholesky decomposition truncated at its numerical rank (LAPACK
+dpstrf), and frees it on return: the covariance keeps only its matrix. The
+factor certifies rank for both solvers. The equality problem is two
 triangular solves on a full-rank factor. When C is singular and the budget
 plane meets its null space, the minimum is exactly zero, the solution is
 non-unique, and the reported weights are the minimum-norm representative,
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr_delete, solve_triangular
@@ -86,25 +86,30 @@ ADD_BATCH = 8
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Validated dense symmetric PSD matrix.
+    """Validated dense symmetric PSD matrix: one read-only N x N array.
 
-    Its rank is certified by one pivoted Cholesky factor, computed on first
-    use and cached; the equality solver reuses the same factor. A pivoted
-    Cholesky factor cannot tell an indefinite matrix from a PSD one, so
-    `from_matrix` checks the spectrum of raw arrays (and their symmetry);
-    `from_returns` builds Gram matrices of return samples, PSD by
-    construction.
+    Its rank is certified by a pivoted Cholesky factor, which is formed per
+    solve (and per `rank` query) and not kept. A pivoted Cholesky factor
+    cannot tell an indefinite matrix from a PSD one, so `from_matrix` checks
+    the spectrum of raw arrays (and their symmetry); `from_returns` builds
+    Gram matrices of return samples, PSD by construction. Both keep the one
+    array they build; the plain constructor copies its argument.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise CovarianceError("covariance must be a square matrix")
-        m = m.copy()
+        m = _square(np.array(self.matrix, dtype=float, order="C"))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _own(cls, m: np.ndarray) -> "CovMatrix":
+        """Wrap a square float array that no one else holds, without a copy."""
+        m.flags.writeable = False
+        cov = object.__new__(cls)
+        object.__setattr__(cov, "matrix", m)
+        return cov
 
     @classmethod
     def from_returns(cls, x: np.ndarray) -> "CovMatrix":
@@ -122,47 +127,32 @@ class CovMatrix:
             x = np.ascontiguousarray(x)
         c = x @ x.T
         c /= t
-        return cls(c)
+        return cls._own(c)
 
     @classmethod
     def from_matrix(cls, c: np.ndarray) -> "CovMatrix":
-        c = cls(c).matrix  # checked square
+        c = _square(np.array(c, dtype=float, order="C"))  # the one owned copy
         scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-        if float(np.max(np.abs(c - c.T))) > 1e-12 * scale:
+        # abs() of the temporary runs in place (numpy elides it); np.abs would not
+        if float(np.max(abs(c - c.T))) > 1e-12 * scale:
             raise CovarianceError("covariance must be symmetric to 1e-12")
-        sym = 0.5 * (c + c.T)
-        vals = np.linalg.eigvalsh(sym)
-        if vals[0] < -1e-10 * max(float(np.trace(sym)), 0.0) - 1e-300:
+        # 0.5 (c + c'), in place; numpy buffers the overlapping c'
+        np.add(c, c.T, out=c)
+        c *= 0.5
+        vals = np.linalg.eigvalsh(c)
+        if vals[0] < -1e-10 * max(float(np.trace(c)), 0.0) - 1e-300:
             raise CovarianceError(
                 f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
             )
-        return cls(sym)
+        return cls._own(c)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, piv) with C[piv][:, piv] = L L', L lower trapezoidal N x rank.
-
-        At full rank the entries above the diagonal of L are left as dpstrf
-        leaves them; only the thin QR of a singular factor reads them.
-        """
-        m = self.matrix
-        top = float(np.max(np.diagonal(m)))
-        if top < 0.0:
-            raise CovarianceError("covariance has a negative diagonal")
-        f, piv, rank, _ = dpstrf(m, tol=RANK_RTOL * top, lower=1)
-        if rank < self.n:
-            return np.tril(f[:, :rank]), piv - 1
-        # C order, as np.tril gives, makes solve_triangular run the same
-        # LAPACK solve (on L'), so the result is the same to the last bit
-        return np.ascontiguousarray(f), piv - 1
-
     @property
     def rank(self) -> int:
-        return self._factor[0].shape[1]
+        return _factor(self.matrix)[2]
 
     @property
     def tol_zero(self) -> float:
@@ -200,6 +190,26 @@ class QpResult:
         object.__setattr__(self, "weights", w)
 
 
+def _square(m: np.ndarray) -> np.ndarray:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise CovarianceError("covariance must be a square matrix")
+    return m
+
+
+def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(F, piv, rank): C[piv][:, piv] = L L' with L the lower trapezoid of F[:, :rank].
+
+    F is dpstrf's Fortran-ordered N x N output. Above the diagonal it keeps
+    entries of C, which the triangular solves never read; the thin QR of a
+    singular factor zeroes them first.
+    """
+    top = float(np.max(np.diagonal(m)))
+    if top < 0.0:
+        raise CovarianceError("covariance has a negative diagonal")
+    f, piv, rank, _ = dpstrf(m, tol=RANK_RTOL * top, lower=1)
+    return f, piv - 1, rank
+
+
 def _as_cov(c) -> CovMatrix:
     return c if isinstance(c, CovMatrix) else CovMatrix.from_matrix(c)
 
@@ -220,8 +230,7 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     cov = _as_cov(c)
     n = cov.n
     b = float(n if budget is None else budget)
-    l, piv = cov._factor
-    rank = l.shape[1]
+    l, piv, rank = _factor(cov.matrix)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
 
     if rank < n:
@@ -229,7 +238,11 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         # dormqr; in pivoted order the null space of C is orthogonal to Q.
         # The second projection removes the rounding 1 - Q Q'1 leaves in the
         # range of Q, which C would amplify by 1/1'z when z is small.
-        qr, tau, _, _ = dgeqrf(l, lwork=int(dgeqrf_lwork(n, max(rank, 1))[0]))
+        # dgeqrf overwrites the zeroed, Fortran-ordered columns of F in place.
+        l = l[:, :rank]
+        np.copyto(l[:rank], 0.0, where=np.tri(rank, k=-1, dtype=bool).T)
+        lwork = int(dgeqrf_lwork(n, max(rank, 1))[0])
+        qr, tau, _, _ = dgeqrf(l, lwork=lwork, overwrite_a=1)
         s_fac = qr[:rank]
         a = _reflect(qr, tau, ones, "T")[:rank]
         z = ones - _reflect(qr, tau, a, "N")
@@ -551,7 +564,7 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
     best = None
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        sub = min_variance_equality(CovMatrix(cm[np.ix_(idx, idx)]), b)
+        sub = min_variance_equality(CovMatrix._own(cm[np.ix_(idx, idx)]), b)
         w_s, lam = sub.weights, sub.lam
         if w_s.min() < -tol_feas:
             continue

@@ -6,6 +6,8 @@ calculations, its own degeneracy certificates, and an independent
 eigendecomposition solver kept here as an oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -72,6 +74,83 @@ def test_matrix_is_readonly():
     c = CovMatrix.from_matrix(np.eye(2))
     with pytest.raises(ValueError):
         c.matrix[0, 0] = 5.0
+
+
+def test_from_matrix_keeps_one_c_ordered_symmetrised_copy():
+    rng = np.random.default_rng(3)
+    m = rand_psd(rng, 6)
+    m[0, 1] += 1e-14  # asymmetric within the 1e-12 gate
+    for src in (m, np.asfortranarray(m)):
+        c = CovMatrix.from_matrix(src).matrix
+        assert np.array_equal(c, 0.5 * (m + m.T))
+        assert c.flags.c_contiguous and not c.flags.writeable
+        assert not np.shares_memory(c, src)
+
+
+def test_from_returns_owns_a_readonly_matrix():
+    x = np.random.default_rng(4).standard_normal((6, 9))
+    c = CovMatrix.from_returns(x)
+    assert not c.matrix.flags.writeable
+    assert not np.shares_memory(c.matrix, x)
+    assert c.matrix.base is None  # no writeable view of the same buffer
+
+
+# N = 300 panels: full rank (T = 600) and flat (T = 100)
+MEMORY_PANELS = [(300, 600), (300, 100)]
+
+
+def _panel(n, t):
+    return np.random.default_rng(n + t).standard_normal((n, t)) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("n, t", MEMORY_PANELS)
+def test_from_returns_peak_is_one_matrix(n, t):
+    x = _panel(n, t)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = CovMatrix.from_returns(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * c.matrix.nbytes
+
+
+@pytest.mark.parametrize("n, t", MEMORY_PANELS)
+@pytest.mark.parametrize("solve", [min_variance_equality, min_variance_noshort])
+def test_solvers_keep_nothing_on_a_held_covariance(solve, n, t):
+    solve(CovMatrix.from_returns(_panel(20, t // 15)))  # warm LAPACK wrappers
+    c = CovMatrix.from_returns(_panel(n, t))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve(c, float(n))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert res.degenerate == (t < n)
+    assert kept < 0.1 * c.matrix.nbytes
+    assert list(vars(c)) == ["matrix"]
+
+
+def _same_result(a, b):
+    return a.weights.tobytes() == b.weights.tobytes() and all(
+        getattr(a, k) == getattr(b, k)
+        for k in ("objective", "active_set", "degenerate", "flat_directions",
+                  "constraint", "lam", "iterations")
+    )
+
+
+@pytest.mark.parametrize("n, t", [(40, 80), (40, 20)])
+@pytest.mark.parametrize("solve", [min_variance_equality, min_variance_noshort])
+def test_repeated_solves_are_bit_identical(solve, n, t):
+    c = CovMatrix.from_returns(_panel(n, t))
+    first = solve(c, float(n))
+    again = solve(c, float(n))
+    assert c.rank == min(n, t)
+    after_rank = solve(c, float(n))
+    assert _same_result(first, again) and _same_result(first, after_rank)
+    assert list(vars(c)) == ["matrix"]
 
 
 # ---------------------------------------------------------------------------
