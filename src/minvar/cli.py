@@ -178,7 +178,9 @@ def write_rows(out: str, spec: dict, fieldnames: list[str], rows: list[dict], fm
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_fmt_csv(row.get(f)) for f in fieldnames])
+            # float cells, nearly all of a table, skip _fmt_csv's type tests
+            writer.writerow([format(v, ".17g") if type(v) is float else _fmt_csv(v)
+                             for v in map(row.get, fieldnames)])
         text = buf.getvalue()
     else:
         payload = {"spec": spec, "rows": [{f: row.get(f) for f in fieldnames} for row in rows]}
@@ -338,6 +340,21 @@ WEIGHTS_FIELDS = [
 ]
 
 
+def _bin_edges(mix, bw: float, pooled=None) -> np.ndarray:
+    """Edges k * bw covering +-8 spreads of every component and every pooled weight."""
+    b, s = mix.center_neg, mix.spread
+    hi_w = float(np.max(mix.center_pos + 8.0 * s))
+    lo_w = 0.0 if np.all(np.isinf(b)) else min(0.0, float(np.min(b - 8.0 * s)))
+    if pooled is not None:
+        live = pooled[np.abs(pooled) > WEIGHT_ZERO_RTOL]
+        if live.size:
+            lo_w = min(lo_w, float(live.min()))
+            hi_w = max(hi_w, float(live.max()))
+    lo_k = math.floor(lo_w / bw)
+    hi_k = max(math.ceil(hi_w / bw), lo_k + 1)
+    return np.arange(lo_k, hi_k + 1) * bw
+
+
 def cmd_weights(args) -> int:
     reg = _corner_reg(args.constraint, args.eta1, args.eta2)
     grid, universe, spec = _request(args, reg)
@@ -363,17 +380,7 @@ def cmd_weights(args) -> int:
             rows.append({**atom, "status": "critical-boundary"})
             continue
         mix = build_mixture(sol)
-        b, s = mix.center_neg, mix.spread
-        hi_w = float(np.max(mix.center_pos + 8.0 * s))
-        lo_w = 0.0 if np.all(np.isinf(b)) else min(0.0, float(np.min(b - 8.0 * s)))
-        if pooled is not None:
-            live = pooled[np.abs(pooled) > WEIGHT_ZERO_RTOL]
-            if live.size:
-                lo_w = min(lo_w, float(live.min()))
-                hi_w = max(hi_w, float(live.max()))
-        lo_k = math.floor(lo_w / bw)
-        hi_k = max(math.ceil(hi_w / bw), lo_k + 1)
-        edges = np.arange(lo_k, hi_k + 1) * bw
+        edges = _bin_edges(mix, bw, pooled)
         masses = mix.bin_mass(edges)
         mc_atom, mc_masses = None, [None] * len(masses)
         if pooled is not None:

@@ -7,6 +7,7 @@ test here.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from minvar.cli import (
     parse_r_grid,
     parse_sigma,
     read_table,
+    write_rows,
 )
 
 
@@ -90,6 +92,22 @@ def test_parse_sigma_rejects(bad):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_csv_cell_text_is_pinned(capsys):
+    rows = [
+        {"a": None, "b": True, "c": False, "d": 7, "e": -0.0, "f": math.inf, "g": 5e-324},
+        {"a": "ok", "b": -math.inf, "c": 0.1, "d": -3, "e": 2.2250738585072014e-308 / 3,
+         "f": np.float64(1.0 / 3.0), "g": 1e300},
+    ]
+    write_rows("-", {"command": "x"}, list("abcdefg"), rows, "csv")
+    assert capsys.readouterr().out == (
+        '# spec={"command":"x"}\n'
+        "a,b,c,d,e,f,g\n"
+        ",true,false,7,-0,inf,4.9406564584124654e-324\n"
+        "ok,-inf,0.10000000000000001,-3,7.4169128616906696e-309,"
+        "0.33333333333333331,1.0000000000000001e+300\n"
+    )
 
 
 def test_replica_csv_values(tmp_path):

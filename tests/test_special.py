@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2, norm_pdf
+from minvar.weights import _CDF_ONE
 
 
 def phi(t):
@@ -105,3 +106,16 @@ def test_scalar_and_array_polymorphism():
         assert isinstance(s, float)
         assert isinstance(v, np.ndarray)
         assert v[0] == s
+
+
+def test_norm_cdf_is_exactly_one_past_the_skip_bound():
+    # WeightMixture.bin_mass writes 1.0 instead of calling norm_cdf at
+    # z >= _CDF_ONE; that is exact only while erfc saturates there. 8.29
+    # still rounds below 1, which shows how close the constant sits.
+    dense = np.linspace(_CDF_ONE, 1e3, 2_000_001)
+    assert np.all(norm_cdf(dense) == 1.0)
+    geometric = np.geomspace(_CDF_ONE, 1e300, 100_000)
+    assert np.all(norm_cdf(geometric) == 1.0)
+    assert norm_cdf(np.inf) == 1.0
+    assert norm_cdf(_CDF_ONE) == 1.0
+    assert norm_cdf(8.29) < 1.0

@@ -32,7 +32,7 @@ from minvar import (
     unconstrained_solution,
 )
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
-from minvar.theory import CRITICAL_MARGIN, _brentq, _saddle_residual
+from minvar.theory import CRITICAL_MARGIN, _brentq, _mean, _saddle_residual
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,25 @@ def test_universe_moments():
     assert uni.n == 3
     assert uni.mean_inv_sigma == pytest.approx((1 + 0.5 + 0.25) / 3)
     assert uni.mean_inv_var == pytest.approx((1 + 0.25 + 0.0625) / 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 4096),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.floats(-300.0, 300.0),
+    width=st.floats(0.0, 600.0),
+    signs=st.sampled_from(["+", "-", "mixed"]),
+)
+def test_mean_helper_is_np_mean_bit_for_bit(size, seed, lo, width, signs):
+    # magnitudes 10**lo .. 10**(lo + width), within 1e-300 .. 1e300
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(lo, min(lo + width, 300.0), size)
+    if signs == "-":
+        x = -x
+    elif signs == "mixed":
+        x *= rng.choice([-1.0, 1.0], size)
+    assert _mean(x).hex() == float(np.mean(x)).hex()
 
 
 def test_universe_validation():

@@ -10,13 +10,16 @@ from scipy.integrate import quad
 
 from minvar import (
     AssetUniverse,
+    RegularizerParams,
     WeightMixture,
     build_mixture,
+    general_l1_solve,
     noshort_solution,
     sample_weights,
     unconstrained_solution,
 )
 import minvar.weights
+from minvar.cli import _bin_edges
 from minvar.special import norm_cdf, norm_pdf
 
 
@@ -108,7 +111,7 @@ def test_bin_mass_matches_quadrature(noshort_mix):
     for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
         assert masses[k] == mix.bin_mass([lo, hi])[0]
     assert mix.bin_mass([1.0]).shape == (0,)
-    for bad in ([2.0, 1.0], [], [[0.0, 1.0]]):
+    for bad in ([2.0, 1.0], [], [[0.0, 1.0]], [0.0, np.nan, 1.0]):
         with pytest.raises(ValueError):
             mix.bin_mass(bad)
 
@@ -141,8 +144,28 @@ def _bin_mass_per_bin(mix, lo, hi):
     return mass
 
 
+@pytest.fixture(scope="module")
+def workload_mixes():
+    """The analytic benchmark's N = 1000 laws on `weights`' 0.05 grid, with per-bin masses.
+
+    No-short at r = 1.9, and eta = (0.3, 1.5) at r = 1.5, whose negative
+    branch carries mass.
+    """
+    uni = AssetUniverse.lognormal(0.0, 0.5, 1000, 7)
+    out = []
+    for sol in (noshort_solution(uni, 1.9),
+                general_l1_solve(uni, 1.5, RegularizerParams(0.3, 1.5))):
+        mix = build_mixture(sol)
+        edges = _bin_edges(mix, 0.05)
+        ref = [_bin_mass_per_bin(mix, float(lo), float(hi))
+               for lo, hi in zip(edges, edges[1:])]
+        out.append((mix, edges, ref))
+    return out
+
+
 @pytest.mark.parametrize("block", [None, 7, 15])
-def test_bin_mass_equals_per_bin_reference(noshort_mix, free_mix, monkeypatch, block):
+def test_bin_mass_equals_per_bin_reference(noshort_mix, free_mix, workload_mixes,
+                                           monkeypatch, block):
     # Same arithmetic per bin, so equal to the last bit, whatever the block
     # size (7 and 15 elements give 2 and 5 edges per block for 3 assets).
     # The grids have bins ending at, starting at and straddling zero.
@@ -157,6 +180,26 @@ def test_bin_mass_equals_per_bin_reference(noshort_mix, free_mix, monkeypatch, b
             ref = [_bin_mass_per_bin(mix, float(lo), float(hi))
                    for lo, hi in zip(edges, edges[1:])]
             assert np.array_equal(mix.bin_mass(edges), ref)
+    # at N = 1000 most (edge, component) pairs are past the saturation
+    # bound, where bin_mass writes 1.0 instead of evaluating the cdf
+    for mix, edges, ref in workload_mixes:
+        bound = mix.center_pos + minvar.weights._Z_SAT * mix.spread
+        assert np.mean(edges[:, None] >= bound) > 0.5
+        assert np.array_equal(mix.bin_mass(edges), ref)
+
+
+def test_bin_mass_skip_bound_lost_in_rounding(monkeypatch):
+    # With center / spread = 1e18 the bound center + 9 * spread rounds to the
+    # center itself, an edge where the cdf is 1/2: nothing may be skipped.
+    # Blocks of two edges, since a block evaluates a component at all its
+    # edges once any of them is live.
+    monkeypatch.setattr(minvar.weights, "_BLOCK_ELEMENTS", 4)
+    mix = WeightMixture(atom=0.0, center_pos=[1e18, 1.0], center_neg=[np.inf] * 2,
+                        spread=[1.0, 0.5])
+    edges = 1e18 + np.array([-256.0, -128.0, 0.0, 128.0, 256.0])
+    ref = [_bin_mass_per_bin(mix, float(lo), float(hi)) for lo, hi in zip(edges, edges[1:])]
+    assert ref[1] == 0.25
+    assert np.array_equal(mix.bin_mass(edges), ref)
 
 
 def test_fine_partition_reconstructs_total_mass(noshort_mix):
