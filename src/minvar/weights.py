@@ -25,8 +25,8 @@ edges. From z = (edge - center)/spread = 8.2924 on, norm_cdf(z) rounds to
 exactly 1.0 (it first does at z = 8.2923612 on a 3M-point grid, and stays
 1.0 out to 1e300 and +inf; tests/test_special.py pins this). `bin_mass`
 therefore evaluates norm_cdf only on each component's edges below
-center + 9 * spread and writes 1.0 at the rest, which changes no bit of
-any mass: the differences and means still run over every entry.
+center + 8.2924 * spread and writes 1.0 at the rest, which changes no bit
+of any mass: the differences and means still run over every entry.
 """
 
 from __future__ import annotations
@@ -47,11 +47,8 @@ __all__ = [
 
 # elements (8 bytes each) per temporary in WeightMixture.bin_mass
 _BLOCK_ELEMENTS = 1 << 14
-# norm_cdf(z) is exactly 1.0 for every z >= _CDF_ONE; bin_mass skips the
-# edges past center + _Z_SAT * spread, whose margin over _CDF_ONE absorbs
-# the rounding of that bound
+# norm_cdf(z) is exactly 1.0 for every z >= _CDF_ONE (module docstring)
 _CDF_ONE = 8.2924
-_Z_SAT = 9.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,15 @@ class WeightMixture:
         `edges` is a nondecreasing 1-d array; the result has one entry fewer.
         Each component's cdf is evaluated once per edge of each branch, over
         blocks of edges that keep every (edges x components) temporary
-        within 128 KB, and only at edges below center + 9 * spread: past
-        that its value rounds to exactly 1.0 (module docstring), which is
+        within 128 KB, and only at edges below center + 8.2924 * spread:
+        past that its value rounds to exactly 1.0 (module docstring), which is
         written instead, so the masses are those of the full evaluation to
         the last bit.
         """
         e = np.asarray(edges, dtype=float)
         if e.ndim != 1 or e.size == 0:
             raise ValueError("bin edges must be a nonempty 1-d array")
-        if not np.all(np.diff(e) >= 0):  # a nan edge fails too
+        if np.isnan(e).any() or np.any(np.diff(e) < 0):
             raise ValueError("bin edges must be nondecreasing")
         out = np.zeros(e.size - 1)
         # only bins reaching above zero carry positive-branch mass, and only
@@ -135,20 +132,17 @@ class WeightMixture:
         s = self.spread
         rows = max(2, _BLOCK_ELEMENTS // self.n)
         # component j's cdf can be below 1.0 only at its first live[j] edges
-        live = np.searchsorted(edges, center + _Z_SAT * s)
-        # where |center| >> spread the bound may round onto a live edge: then
-        # evaluate them all (past the first saturated edge z only grows)
+        live = np.searchsorted(edges, center + _CDF_ONE * s)
+        # the bound's rounding may put a live edge past it: then evaluate
+        # them all (past the first saturated edge z only grows)
         first = edges[np.minimum(live, edges.size - 1)]
         live[(first - center) / s < _CDF_ONE] = edges.size
         # consecutive blocks share one edge, so every difference is formed
         for start in range(0, edges.size - 1, rows - 1):
             block = edges[start : start + rows, None]
             cols = np.flatnonzero(live > start)
-            if cols.size == self.n:  # e.g. a saddle-point law's negative branch, z < 0
-                cdf = norm_cdf((block - center) / s)
-            else:
-                cdf = np.ones((block.shape[0], self.n))
-                cdf[:, cols] = norm_cdf((block - center[cols]) / s[cols])
+            cdf = np.ones((block.shape[0], self.n))
+            cdf[:, cols] = norm_cdf((block - center[cols]) / s[cols])
             out[start : start + cdf.shape[0] - 1] += np.mean(np.diff(cdf, axis=0), axis=1)
 
     def mean(self) -> float:

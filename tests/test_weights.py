@@ -114,6 +114,11 @@ def test_bin_mass_matches_quadrature(noshort_mix):
     for bad in ([2.0, 1.0], [], [[0.0, 1.0]], [0.0, np.nan, 1.0]):
         with pytest.raises(ValueError):
             mix.bin_mass(bad)
+    # repeated infinite edges make an empty bin, as repeated finite ones do
+    masses = mix.bin_mass([0.0, 1.0, np.inf, np.inf])
+    assert masses[1] == mix.bin_mass([1.0, np.inf])[0]
+    assert masses[2] == 0.0
+    assert np.array_equal(mix.bin_mass([-np.inf, -np.inf, 0.0]), [0.0, 0.0])
 
 
 def test_bin_mass_two_sided_matches_quadrature(free_mix):
@@ -183,16 +188,16 @@ def test_bin_mass_equals_per_bin_reference(noshort_mix, free_mix, workload_mixes
     # at N = 1000 most (edge, component) pairs are past the saturation
     # bound, where bin_mass writes 1.0 instead of evaluating the cdf
     for mix, edges, ref in workload_mixes:
-        bound = mix.center_pos + minvar.weights._Z_SAT * mix.spread
+        bound = mix.center_pos + minvar.weights._CDF_ONE * mix.spread
         assert np.mean(edges[:, None] >= bound) > 0.5
         assert np.array_equal(mix.bin_mass(edges), ref)
 
 
 def test_bin_mass_skip_bound_lost_in_rounding(monkeypatch):
-    # With center / spread = 1e18 the bound center + 9 * spread rounds to the
-    # center itself, an edge where the cdf is 1/2: nothing may be skipped.
-    # Blocks of two edges, since a block evaluates a component at all its
-    # edges once any of them is live.
+    # With center / spread = 1e18 the bound center + 8.2924 * spread rounds
+    # to the center itself, an edge where the cdf is 1/2: nothing may be
+    # skipped. Blocks of two edges, since a block evaluates a component at
+    # all its edges once any of them is live.
     monkeypatch.setattr(minvar.weights, "_BLOCK_ELEMENTS", 4)
     mix = WeightMixture(atom=0.0, center_pos=[1e18, 1.0], center_neg=[np.inf] * 2,
                         spread=[1.0, 0.5])
