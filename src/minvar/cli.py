@@ -39,7 +39,7 @@ from .errors import (
     NoConvergenceError,
     PhaseBoundaryError,
 )
-from .mc import WEIGHT_ZERO_RTOL, sweep, weight_histogram
+from .mc import WEIGHT_ZERO_RTOL, bin_grid, sweep, weight_histogram
 from .theory import (
     AssetUniverse,
     RegularizerParams,
@@ -350,9 +350,7 @@ def _bin_edges(mix, bw: float, pooled=None) -> np.ndarray:
         if live.size:
             lo_w = min(lo_w, float(live.min()))
             hi_w = max(hi_w, float(live.max()))
-    lo_k = math.floor(lo_w / bw)
-    hi_k = max(math.ceil(hi_w / bw), lo_k + 1)
-    return np.arange(lo_k, hi_k + 1) * bw
+    return bin_grid(lo_w, hi_w, bw)
 
 
 def cmd_weights(args) -> int:

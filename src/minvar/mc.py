@@ -263,31 +263,34 @@ class Histogram:
     count: int
 
 
+def bin_grid(lo: float, hi: float, bin_width: float) -> np.ndarray:
+    """Edges k * bin_width, k integer, covering [lo, hi] with at least one bin."""
+    lo_k = math.floor(lo / bin_width)
+    hi_k = max(math.ceil(hi / bin_width), lo_k + 1)
+    return np.arange(lo_k, hi_k + 1) * bin_width
+
+
 def weight_histogram(
     weights: np.ndarray, bin_width: float = 0.05, zero_tol: float = WEIGHT_ZERO_RTOL,
     edges: np.ndarray | None = None,
 ) -> Histogram:
     """Histogram pooled weights with the exact-zero atom kept out of the bins.
 
-    Bins are multiples of `bin_width` covering the nonzero weights, unless
-    `edges` gives them; weights outside given edges count in no bin.
+    Bins are multiples of `bin_width` covering the nonzero weights (one bin
+    [0, bin_width) when there are none), unless `edges` gives them; weights
+    outside given edges count in no bin.
     """
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("no weights to histogram")
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValueError("bin width must be positive and finite")
     at_zero = np.abs(w) <= zero_tol
     atom = float(np.mean(at_zero))
     wc = w[~at_zero]
     if edges is None:
-        if wc.size == 0:
-            edges = np.array([0.0, bin_width])
-            return Histogram(edges=edges, masses=np.zeros(1), atom=atom, count=w.size)
-        lo = math.floor(float(wc.min()) / bin_width)
-        hi = math.ceil(float(wc.max()) / bin_width)
-        hi = max(hi, lo + 1)
-        edges = np.arange(lo, hi + 1) * bin_width
+        lo, hi = (float(wc.min()), float(wc.max())) if wc.size else (0.0, 0.0)
+        edges = bin_grid(lo, hi, bin_width)
     counts, _ = np.histogram(wc, bins=edges)
     return Histogram(
         edges=edges, masses=counts / w.size, atom=atom, count=w.size

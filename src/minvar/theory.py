@@ -24,9 +24,11 @@ The module exposes:
   * closed-form behavior at the critical ratio r = 2
     (`critical_asymptotics`).
 
-Scalar roots are bracketed and found by `_brentq`, a port of scipy's Brent
-solver that returns the same roots to the bit; the runtime needs only
-scipy.special (through `minvar.special`), not scipy.optimize.
+Scalar roots are found by Newton from the right of an increasing convex
+equation (`_newton_right`), which needs no bracket and no tolerance; the
+one non-convex scalar root, in the penalized solver's fallback start, is
+bisected. The runtime needs only scipy.special (through `minvar.special`),
+not scipy.optimize.
 
 Order parameters follow one convention everywhere: `lam` is the budget
 multiplier (twice the free energy at the relevant corners), `delta` the
@@ -52,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriticalPhaseError, NoConvergenceError, PhaseBoundaryError
-from .special import norm_cdf, norm_cdf_int, norm_cdf_int2, norm_pdf
+from .special import norm_cdf, norm_pdf
 
 # the banned and penalized branches treat r within this of 2 as critical: the
 # susceptibility ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13,
@@ -419,14 +421,15 @@ def noshort_lambda(universe, r: float) -> float:
 
     Solves mean_i W(sqrt(lam)/sigma_i) = 1/(2r) with W the second iterated
     cdf integral. The root find runs in s = sqrt(lam), where the equation
-    stays well conditioned all the way into the critical region, on the
-    bracket (0, s_up] with s_up from the bound W(x) > (x^2 + 1)/4 for x > 0.
-    A final Newton step in lam polishes the residual below
-    1e-12 * max(1, 1/(2r)): absolute for r >= 1/2, relative to the target
-    below, where the target outgrows what double precision resolves to 1e-12.
-    Within CRITICAL_MARGIN below r = 2 it raises CriticalPhaseError, as
-    `general_l1_solve` does: there 1 - r * mean Phi, the susceptibility's
-    denominator, is lost in rounding.
+    stays well conditioned all the way into the critical region: its left
+    side is increasing and convex in s (W' = Psi > 0, W'' = Phi > 0), so
+    Newton from s_up, which the bound W(x) > (x^2 + 1)/4 for x > 0 puts
+    right of the root, falls monotonically onto it. The residual there must
+    be below 1e-12 * max(1, 1/(2r)): absolute for r >= 1/2, relative to the
+    target below, where the target outgrows what double precision resolves
+    to 1e-12. Within CRITICAL_MARGIN below r = 2 it raises
+    CriticalPhaseError, as `general_l1_solve` does: there 1 - r * mean Phi,
+    the susceptibility's denominator, is lost in rounding.
     """
     uni = as_universe(universe)
     if r <= 0:
@@ -439,112 +442,49 @@ def noshort_lambda(universe, r: float) -> float:
         )
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("banned-shorts estimator", r)
-    sig = uni._sig
-    target = 0.5 / r
-    s = _noshort_root(uni, r)
+    s, h = _noshort_root(uni, r)
     lam = s * s
-    if lam > 0:
-        # one Newton step in lam; dW/dlam = Psi(s/sigma) / (2 sigma s)
-        g = _mean(norm_cdf_int2(s / sig)) - target
-        dg = _mean(norm_cdf_int(s / sig) / sig) / (2.0 * s)
-        step = g / dg
-        if abs(step) < 0.5 * lam:
-            lam = lam - step
-    residual = abs(_mean(norm_cdf_int2(math.sqrt(lam) / sig)) - target)
-    if residual > 1e-12 * max(1.0, target):
+    if abs(h) > 1e-12 * max(1.0, 0.5 / r):
         raise NoConvergenceError(
             "multiplier root residual above 1e-12 * max(1, 1/(2r))",
             iterate=lam,
-            residual=residual,
+            residual=abs(h),
         )
-    return float(lam)
+    return lam
 
 
-def _noshort_root(uni: AssetUniverse, r: float) -> float:
-    """Root s = sqrt(lam) of mean_i W(s/sigma_i) = 1/(2r) on (0, s_up], 0 < r < 2."""
-    sig = uni._sig
+def _noshort_root(uni: AssetUniverse, r: float) -> tuple[float, float]:
+    """Root s = sqrt(lam) of h(s) = mean_i W(s/sigma_i) - 1/(2r), 0 < r < 2, and h there."""
     target = 0.5 / r
+    ban = RegularizerParams.short_ban()
 
     def h(s):
-        return _mean(norm_cdf_int2(s / sig)) - target
+        s_w, s_psi = _tail_terms(s, 1.0, uni, ban)[:2]
+        return s_w - target, s_psi
 
-    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    # the absolute tolerance shrinks with the bracket within ~1e-12 of r = 2,
-    # where the root itself falls below 1e-15
-    xtol = min(1e-15, 1e-9 * s_up)
-    return _brentq(h, 0.0, s_up, xtol=xtol)
+    # h(s_up) > 0 by W(x) > (x^2 + 1)/4 for x > 0
+    return _newton_right(h, math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
-    """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
+def _newton_right(f, x: float) -> tuple[float, float]:
+    """Root of an increasing convex f by Newton from x, where f(x) >= 0.
 
-    A line-for-line port of scipy's brentq.c, the solver behind
-    scipy.optimize.brentq (BSD-3-Clause; Copyright (c) 2001-2002 Enthought,
-    Inc. and 2003- the SciPy Developers), after Brent (1973), "Algorithms
-    for Minimization without Derivatives", ch. 4. It keeps scipy's step
-    order, interpolation test and tolerance 2 delta = xtol + rtol |x|, so
-    roots agree with scipy's to the bit. As scipy's wrapper does, it returns
-    an endpoint whose value is exactly 0 and raises ValueError when f(xa)
-    and f(xb) have the same sign or f returns nan, RuntimeError after
-    maxiter iterations.
+    f returns (value, derivative). Every tangent lies below such an f, so
+    the iterates fall monotonically onto the root; the first one that does
+    not fall marks it, and (x, f(x)) is returned. NoConvergenceError after
+    NEWTON_MAX_ITER steps.
     """
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    def neg(v):
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if neg(fpre) == neg(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and neg(fpre) != neg(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by a zero den into an inf or nan step, which bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
-        else:
-            # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    fx, dfx = f(x)
+    for _ in range(NEWTON_MAX_ITER):
+        xn = x - fx / dfx
+        if not xn < x:
+            return x, fx
+        x = xn
+        fx, dfx = f(x)
+    raise NoConvergenceError(
+        f"Newton from the convex side still falling after {NEWTON_MAX_ITER} steps",
+        iterate=x, residual=fx,
+    )
 
 
 def noshort_solution(universe, r: float) -> ReplicaSolution:
@@ -629,7 +569,7 @@ def _initial_guesses(uni, r):
     """Candidate starting points (m, u) for the damped Newton solve, r < 2."""
     out = []
     # banned-shorts anchor: m = s0^2 puts the positive edge where the ban has it
-    s0 = _noshort_root(uni, r)
+    s0 = _noshort_root(uni, r)[0]
     if s0 > 0:
         out.append((s0 * s0, s0))
     if r < 1:
@@ -652,6 +592,7 @@ def _saddle_residual(x, uni, r, reg):
 
 
 # damped Newton of general_l1_solve: residual target and iteration budget
+# (the budget also caps `_newton_right`)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 _UNPINNED = "saddle solve ill-determined: the residual tolerance does not pin the root"
@@ -781,30 +722,32 @@ def _newton(x, fx, jac, uni, r, reg):
 def _bracketed_start(uni, r, reg) -> tuple[float, float]:
     """A point near the physical root, by bracketing, for Newton to polish.
 
-    For fixed u the first saddle equation rises in m > 0, so it has at most
-    one root m(u) there. Along that curve the second equation is negative
-    as u -> 0 and positive where m(u) reaches 0 or, for r < 1 and under a
-    ban, as u grows. Both roots are bracketed in log scale, so a weak
-    penalty that puts u many decades below 1 costs no more than a strong one.
+    For fixed u the first saddle equation is increasing and convex in m > 0:
+    its m-derivatives 2r mean((Psi(b1) - Psi(-b2)) / sigma) / u and
+    2r mean((Phi(b1) + Phi(-b2)) / sigma^2) / u^2 are positive, as b1 > -b2.
+    So it has at most one root m(u) there, which Newton from its right
+    finds. Along that curve the second equation is negative as u -> 0 and
+    positive where m(u) reaches 0 or, for r < 1 and under a ban, as u grows;
+    its root is bracketed in log u and bisected, so a weak penalty that puts
+    u many decades below 1 costs no more than a strong one.
     """
-    def eqs(m, u):
-        return _saddle_residual(np.array([m, u]), uni, r, reg)[0]
-
     def m_root(u):
         """The root m(u) > 0 of the first equation, None past the curve's end."""
-        if eqs(0.0, u)[0] >= 0.0:
+        def first(m):
+            f, jac = _saddle_residual(np.array([m, u]), uni, r, reg)
+            return f[0], jac[0, 0]
+
+        if first(0.0)[0] >= 0.0:
             return None
         hi = math.log(u)
-        while eqs(math.exp(hi), u)[0] < 0.0:
+        while first(math.exp(hi))[0] < 0.0:
             hi += 2.0
-        # below u * sqrt(tiny) the edge m/(sigma u) no longer moves the equation
-        lo = math.log(u) + _LOG_U_MIN
-        return math.exp(_brentq(lambda t: eqs(math.exp(t), u)[0], lo, hi))
+        return _newton_right(first, math.exp(hi))[0]
 
     def second(log_u):
         u = math.exp(log_u)
         m = m_root(u)
-        return 1.0 if m is None else eqs(m, u)[1]
+        return 1.0 if m is None else _saddle_residual(np.array([m, u]), uni, r, reg)[0][1]
 
     # a nan (edges past 1e154 overflow W) counts as not bracketing
     lo = hi = -0.5 * math.log(uni.mean_inv_var)
@@ -819,7 +762,13 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
                 "saddle solve found no bracket on the physical branch",
                 iterate=(math.exp(lo), math.exp(hi)), residual=math.inf,
             )
-    u = math.exp(_brentq(second, lo, hi, xtol=1e-12))
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if second(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    u = math.exp(0.5 * (lo + hi))
     return m_root(u), u
 
 

@@ -116,7 +116,8 @@ class WeightMixture:
         e = np.asarray(edges, dtype=float)
         if e.ndim != 1 or e.size == 0:
             raise ValueError("bin edges must be a nonempty 1-d array")
-        if np.isnan(e).any() or np.any(np.diff(e) < 0):
+        # neighbors are compared, not differenced: inf - inf is nan
+        if np.isnan(e).any() or np.any(e[1:] < e[:-1]):
             raise ValueError("bin edges must be nondecreasing")
         out = np.zeros(e.size - 1)
         # only bins reaching above zero carry positive-branch mass, and only

@@ -187,11 +187,12 @@ def test_keep_weights_and_histogram():
 def test_weight_histogram_validation():
     with pytest.raises(ValueError):
         weight_histogram(np.array([]))
-    with pytest.raises(ValueError):
-        weight_histogram(np.array([1.0]), bin_width=0.0)
-    h = weight_histogram(np.zeros(5))
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            weight_histogram(np.array([1.0]), bin_width=bad)
+    h = weight_histogram(np.zeros(5), bin_width=0.25)
     assert h.atom == 1.0
-    assert h.masses.sum() == 0.0
+    assert np.array_equal(h.edges, [0.0, 0.25]) and np.array_equal(h.masses, [0.0])
 
 
 def test_weight_histogram_on_given_edges():

@@ -32,7 +32,13 @@ from minvar import (
     unconstrained_solution,
 )
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
-from minvar.theory import CRITICAL_MARGIN, _brentq, _mean, _saddle_residual
+from minvar.theory import (
+    CRITICAL_MARGIN,
+    NEWTON_MAX_ITER,
+    _mean,
+    _newton_right,
+    _saddle_residual,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +304,8 @@ def test_noshort_answers_just_outside_critical_margin(uni):
 
 
 # ---------------------------------------------------------------------------
-# Brent root finder
+# Newton from the convex side
 # ---------------------------------------------------------------------------
-
-
-def _both_brentq(f, a, b, **kw):
-    """(outcome of _brentq, outcome of scipy's brentq): a root or an exception type."""
-    out = []
-    for solve in (_brentq, scipy.optimize.brentq):
-        try:
-            out.append(solve(f, a, b, **kw))
-        except (ValueError, RuntimeError) as exc:
-            out.append(type(exc))
-    return out
 
 
 @pytest.mark.parametrize(
@@ -322,57 +317,41 @@ def _both_brentq(f, a, b, **kw):
     ],
 )
 @pytest.mark.parametrize("r", [1e-6, 0.5, 1.9, 2.0 - 1e-12])
-def test_brentq_matches_scipy_on_noshort_equation(uni, r):
-    # the bracket and tolerances of _noshort_root
+def test_noshort_lambda_matches_scipy_brentq(uni, r):
     sig = uni._sig
+    target = 0.5 / r
 
     def h(s):
-        return float(np.mean(norm_cdf_int2(s / sig))) - 0.5 / r
+        return float(np.mean(norm_cdf_int2(s / sig))) - target
 
     s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    xtol = min(1e-15, 1e-9 * s_up)
-    ours, ref = _both_brentq(h, 0.0, s_up, xtol=xtol, rtol=4 * np.finfo(float).eps)
-    assert isinstance(ours, float) and ours == ref
+    ref = scipy.optimize.brentq(h, 0.0, s_up, xtol=min(1e-15, 1e-9 * s_up),
+                                rtol=4 * np.finfo(float).eps) ** 2
+    lam = noshort_lambda(uni, r)
+    assert abs(h(math.sqrt(lam))) <= 1e-12 * max(1.0, target)
+    if r <= 1.9:
+        # within 1e-10 of r = 2 the root is only as sharp as 1/4 - 1/(2r)
+        assert lam == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "f, a, b, root",
-    [
-        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
-        (lambda x: (x - 1.0) * (x + 2.0) * (x - 0.5), 0.7, 3.0, 1.0),
-        (lambda x: (x - 1.0) * (x + 2.0) * (x - 0.5), -5.0, 0.0, -2.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-        (lambda x: x**5 - x - 1.0, 1.0, 2.0, 1.1673039782614187),
-        # values near 1e-200, whose products underflow: scipy tests sign bits
-        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 0.3),
-    ],
-)
-@pytest.mark.parametrize("xtol", [2e-12, 1e-15])
-def test_brentq_matches_scipy_on_polynomials(f, a, b, root, xtol):
-    ours, ref = _both_brentq(f, a, b, xtol=xtol)
-    assert isinstance(ours, float) and ours == ref
-    assert ours == pytest.approx(root, abs=1e-11)
+def test_newton_right_falls_monotonically_onto_the_root():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(x) - 2.0, math.exp(x)
+
+    x, fx = _newton_right(f, 5.0)
+    assert x == pytest.approx(math.log(2.0), rel=1e-15) and abs(fx) < 1e-15
+    assert all(a > b for a, b in zip(seen, seen[1:]))
+    assert seen[-1] == x
 
 
-def test_brentq_error_paths():
-    # an endpoint whose value is exactly 0 is returned as is
-    assert _both_brentq(lambda x: x - 1.0, 1.0, 3.0) == [1.0, 1.0]
-    assert _both_brentq(lambda x: x - 3.0, 1.0, 3.0) == [3.0, 3.0]
-    assert _both_brentq(lambda x: x * x + 1.0, -1.0, 1.0) == [ValueError, ValueError]
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    nan_inside = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
-    assert _both_brentq(nan_inside, 0.0, 1.0) == [ValueError, ValueError]
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(nan_inside, 0.0, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: math.nan, 0.0, 1.0)
-    for maxiter in (1, 3):
-        assert _both_brentq(math.atan, -1.0, 3.0, maxiter=maxiter) == [RuntimeError] * 2
-    with pytest.raises(RuntimeError, match="after 3 iterations"):
-        _brentq(math.atan, -1.0, 3.0, maxiter=3)
-    ours, ref = _both_brentq(math.atan, -1.0, 3.0, maxiter=100)
-    assert ours == ref and abs(ours) < 1e-12
+def test_newton_right_hits_its_cap():
+    with pytest.raises(NoConvergenceError, match="still falling") as info:
+        _newton_right(lambda x: (1.0, 1.0), 0.0)
+    assert info.value.iterate == -NEWTON_MAX_ITER
+    assert info.value.residual == 1.0
 
 
 def test_import_leaves_scipy_optimize_unloaded():
