@@ -378,7 +378,10 @@ def cmd_weights(args) -> int:
             rows.append({**atom, "status": "critical-boundary"})
             continue
         mix = build_mixture(sol)
-        edges = _bin_edges(mix, bw, pooled)
+        try:
+            edges = _bin_edges(mix, bw, pooled)
+        except ValueError as exc:  # a bin width too small for the weight range
+            raise UsageError(str(exc)) from None
         masses = mix.bin_mass(edges)
         mc_atom, mc_masses = None, [None] * len(masses)
         if pooled is not None:

@@ -264,7 +264,13 @@ class Histogram:
 
 
 def bin_grid(lo: float, hi: float, bin_width: float) -> np.ndarray:
-    """Edges k * bin_width, k integer, covering [lo, hi] with at least one bin."""
+    """Edges k * bin_width, k integer, covering [lo, hi] with at least one bin.
+
+    Raises ValueError where max(|lo|, |hi|) / bin_width reaches 2**53: past
+    it the integers k, and so the edges k * bin_width, are no longer exact.
+    """
+    if not max(abs(lo), abs(hi)) / bin_width < 2.0**53:
+        raise ValueError("bin width too small for the weight range: edges k * width inexact")
     lo_k = math.floor(lo / bin_width)
     hi_k = max(math.ceil(hi / bin_width), lo_k + 1)
     return np.arange(lo_k, hi_k + 1) * bin_width

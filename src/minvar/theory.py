@@ -27,7 +27,8 @@ The module exposes:
 Scalar roots are found by Newton from the right of an increasing convex
 equation (`_newton_right`), which needs no bracket and no tolerance; the
 one non-convex scalar root, in the penalized solver's fallback start, is
-bisected. The runtime needs only scipy.special (through `minvar.special`),
+bisected. The penalized solver starts at the banned-shorts root, which is
+exact under any ban. The runtime needs only scipy.special (through `minvar.special`),
 not scipy.optimize.
 
 Order parameters follow one convention everywhere: `lam` is the budget
@@ -345,20 +346,19 @@ def _tail_terms(m: float, u: float, uni: AssetUniverse, reg: RegularizerParams,
     return s_w, s_psi, s_phi, b1, b2, d / u
 
 
-def _assemble(uni, reg, r, m, u, solved=False) -> ReplicaSolution:
-    """Build the full solution record from the reduced unknowns (m = lam - eta1, u).
+def _assemble(uni, reg, r, m, u) -> ReplicaSolution:
+    """Build the full solution record from a root (m = lam - eta1, u) of both saddle equations.
 
-    The susceptibility is r S_Phi / (1 - r S_Phi). At a root of the second
-    saddle equation (`solved`) the denominator equals u r S_Psi, which is
-    taken instead: it carries no cancellation where the susceptibility is
-    large, near r = 2 or under a weak penalty at r >= 1.
+    The susceptibility r S_Phi / (1 - r S_Phi) takes its denominator as
+    u r S_Psi, equal at a root of the second saddle equation and free of the
+    cancellation near r = 2 or under a weak penalty at r >= 1.
     """
     s_w, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
     lam = m + reg.eta1
-    denom = u * r * s_psi if solved else 1.0 - r * s_phi
+    denom = u * r * s_psi
     if denom <= 0.0:
         raise CriticalPhaseError(
-            "susceptibility diverges: r * mean cdf mass reached 1 (flat phase)"
+            "susceptibility diverges: u * r * mean(Psi / sigma) rounded to 0 (flat phase)"
         )
     delta = r * s_phi / denom
     v = 1.0 + delta
@@ -368,12 +368,8 @@ def _assemble(uni, reg, r, m, u, solved=False) -> ReplicaSolution:
     sig = uni._sig
     spread = np.sqrt(q0 * r) / sig
     w_pos = m * r * v / sig**2
-    if math.isinf(reg.eta2):
-        w_neg = np.full_like(sig, math.inf)
-        elim = norm_cdf(-b1)
-    else:
-        w_neg = (m + (reg.eta1 + reg.eta2)) * r * v / sig**2
-        elim = norm_cdf(b2) - norm_cdf(b1)
+    w_neg = (m + (reg.eta1 + reg.eta2)) * r * v / sig**2  # +inf under a ban
+    elim = norm_cdf(-b1) if math.isinf(reg.eta2) else norm_cdf(b2) - norm_cdf(b1)
     n0 = _mean(elim)
     f = _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
     return ReplicaSolution(
@@ -403,7 +399,7 @@ def unconstrained_solution(universe, r: float) -> ReplicaSolution:
     inflation is the classic 1/(1 - r) factor, independent of the universe.
     """
     uni = as_universe(universe)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if r >= 1:
         raise PhaseBoundaryError(
@@ -419,20 +415,20 @@ def unconstrained_solution(universe, r: float) -> ReplicaSolution:
 def noshort_lambda(universe, r: float) -> float:
     """Budget multiplier of the banned-shorts estimator, 0 < r <= 2 - CRITICAL_MARGIN.
 
-    Solves mean_i W(sqrt(lam)/sigma_i) = 1/(2r) with W the second iterated
-    cdf integral. The root find runs in s = sqrt(lam), where the equation
-    stays well conditioned all the way into the critical region: its left
-    side is increasing and convex in s (W' = Psi > 0, W'' = Phi > 0), so
-    Newton from s_up, which the bound W(x) > (x^2 + 1)/4 for x > 0 puts
-    right of the root, falls monotonically onto it. The residual there must
-    be below 1e-12 * max(1, 1/(2r)): absolute for r >= 1/2, relative to the
-    target below, where the target outgrows what double precision resolves
-    to 1e-12. Within CRITICAL_MARGIN below r = 2 it raises
-    CriticalPhaseError, as `general_l1_solve` does: there 1 - r * mean Phi,
-    the susceptibility's denominator, is lost in rounding.
+    Solves mean_i W(sqrt(lam)/sigma_i) = 1/(2r), W the second iterated cdf
+    integral, as `_first_equation` under the ban at u = 1, in s = sqrt(lam),
+    where it stays well conditioned into the critical region: its left side
+    is increasing and convex in s (W' = Psi > 0, W'' = Phi > 0), so Newton
+    from s_up, which the bound W(x) > (x^2 + 1)/4 for x > 0 puts right of
+    the root, falls monotonically onto it. The residual h = mean W - 1/(2r)
+    there must be below 1e-12 * max(1, 1/(2r)): absolute for r >= 1/2,
+    relative to the target below, where the target outgrows what double
+    precision resolves to 1e-12. Within CRITICAL_MARGIN below r = 2 it
+    raises CriticalPhaseError, as `general_l1_solve` does: there 2 - r is
+    lost in rounding.
     """
     uni = as_universe(universe)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if r >= 2:
         raise CriticalPhaseError(
@@ -442,8 +438,10 @@ def noshort_lambda(universe, r: float) -> float:
         )
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("banned-shorts estimator", r)
-    s, h = _noshort_root(uni, r)
+    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
+    s, f = _newton_right(_first_equation(uni, r, RegularizerParams.short_ban(), 1.0), s_up)
     lam = s * s
+    h = f / (2.0 * r)
     if abs(h) > 1e-12 * max(1.0, 0.5 / r):
         raise NoConvergenceError(
             "multiplier root residual above 1e-12 * max(1, 1/(2r))",
@@ -453,17 +451,13 @@ def noshort_lambda(universe, r: float) -> float:
     return lam
 
 
-def _noshort_root(uni: AssetUniverse, r: float) -> tuple[float, float]:
-    """Root s = sqrt(lam) of h(s) = mean_i W(s/sigma_i) - 1/(2r), 0 < r < 2, and h there."""
-    target = 0.5 / r
-    ban = RegularizerParams.short_ban()
+def _first_equation(uni: AssetUniverse, r: float, reg: RegularizerParams, u: float):
+    """First saddle equation at fixed u: m -> (2r S_W(m, u) - 1, its m-derivative 2r S_Psi/u)."""
+    def first(m):
+        s_w, s_psi = _tail_terms(m, u, uni, reg)[:2]
+        return 2.0 * r * s_w - 1.0, 2.0 * r * (s_psi / u)
 
-    def h(s):
-        s_w, s_psi = _tail_terms(s, 1.0, uni, ban)[:2]
-        return s_w - target, s_psi
-
-    # h(s_up) > 0 by W(x) > (x^2 + 1)/4 for x > 0
-    return _newton_right(h, math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var))
+    return first
 
 
 def _newton_right(f, x: float) -> tuple[float, float]:
@@ -491,8 +485,9 @@ def noshort_solution(universe, r: float) -> ReplicaSolution:
     """Full solution of the banned-shorts estimator, 0 < r < 2.
 
     Derived quantities follow from the multiplier: the cdf mass
-    phi_bar = mean Phi(sqrt(lam)/sigma) gives delta = r*phi_bar/(1 - r*phi_bar)
-    (the denominator is strictly positive for lam > 0), q0 = lam*r*(1+delta)^2,
+    phi_bar = mean Phi(sqrt(lam)/sigma) gives delta = r*phi_bar/(1 - r*phi_bar),
+    its denominator formed as sqrt(lam)*r*mean(Psi(sqrt(lam)/sigma)/sigma) > 0,
+    equal at the root and free of cancellation near r = 2; q0 = lam*r*(1+delta)^2,
     and the condensed fraction n0 = mean Phi(-sqrt(lam)/sigma) < 1/2.
     """
     uni = as_universe(universe)
@@ -515,7 +510,7 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
     """
     lam, q0, delta, q0_hat, delta_hat = (float(t) for t in op)
     uni = as_universe(universe)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if q0_hat >= 0 or delta_hat <= 0 or delta <= -1:
         raise ValueError(
@@ -565,20 +560,6 @@ def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> flo
     return float(np.max(np.abs(grad)))
 
 
-def _initial_guesses(uni, r):
-    """Candidate starting points (m, u) for the damped Newton solve, r < 2."""
-    out = []
-    # banned-shorts anchor: m = s0^2 puts the positive edge where the ban has it
-    s0 = _noshort_root(uni, r)[0]
-    if s0 > 0:
-        out.append((s0 * s0, s0))
-    if r < 1:
-        lam_u = (1.0 - r) / (r * uni.mean_inv_var)
-        out.append((lam_u, math.sqrt(lam_u)))
-    out.append((1.0, 1.0))
-    return out
-
-
 def _saddle_residual(x, uni, r, reg):
     """Residual of both saddle equations at x = (m, u), and its exact Jacobian."""
     m, u = x
@@ -616,9 +597,11 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     so each candidate point costs one cdf and one pdf per band edge. Steps
     are backtracked to keep m and u positive (every budget-feasible
     portfolio pays eta1 per unit budget, so lam >= eta1 at the solution)
-    and the residual decreasing. If Newton from the best of
-    `_initial_guesses` stops short of a root pinned to NEWTON_TOL, it runs
-    again from `_bracketed_start`; a pinned or smaller residual wins.
+    and the residual decreasing. Newton starts at the banned-shorts root
+    (lam_ns, sqrt(lam_ns)) of `noshort_lambda`, which solves both equations
+    under any ban (eta1 only shifts lam); if it stops short of a root pinned
+    to NEWTON_TOL, it runs again from `_bracketed_start`; a pinned or
+    smaller residual wins.
     Corners reproduce the closed forms: eta = (0, 0) matches
     `unconstrained_solution`, eta = (0, inf) matches `noshort_solution`.
 
@@ -640,7 +623,7 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     ~ eta^(2/3) reaches 1e-13 near eta ~ 1e-19 sigma.
     """
     uni = as_universe(universe)
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if reg.eta1 == 0.0 and reg.eta2 == 0.0 and r >= 1:
         raise PhaseBoundaryError(
@@ -649,18 +632,12 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
 
-    best = None
-    for cand in _initial_guesses(uni, r):
-        x = np.array(cand, dtype=float)
-        fx, jac = _saddle_residual(x, uni, r, reg)
-        if best is None or np.max(np.abs(fx)) < np.max(np.abs(best[1])):
-            best = (x, fx, jac)
-    x, norm, why = _newton(*best, uni, r, reg)
+    lam0 = noshort_lambda(uni, r)
+    x, norm, why = _newton(np.array([lam0, math.sqrt(lam0)]), uni, r, reg)
     if why is not None:
-        # a poor start stalls against the m = 0 wall, at a spurious root, or
-        # where the equations are nearly degenerate (r ~ 1 under a weak penalty)
-        start = np.array(_bracketed_start(uni, r, reg))
-        alt = _newton(start, *_saddle_residual(start, uni, r, reg), uni, r, reg)
+        # Newton stalls against the m = 0 wall, at a spurious root, or where
+        # the equations are nearly degenerate (r ~ 1 under a weak penalty)
+        alt = _newton(np.array(_bracketed_start(uni, r, reg)), uni, r, reg)
         if alt[2] is None or alt[1] <= norm:
             x, norm, why = alt
     if norm >= 1e-10 or (why == _UNPINNED and r < 1):
@@ -672,27 +649,30 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     resolved = r < 1 or (why != _UNPINNED and widest > 1e-13)
     if math.log(u) >= _LOG_U_MIN and resolved:
         try:
-            return _assemble(uni, reg, r, m, u, solved=True)
+            return _assemble(uni, reg, r, m, u)
         except CriticalPhaseError:
             pass  # u r S_Psi rounded to 0: m and the penalty are below resolution
     raise _unrepresentable(r, reg)
 
 
-def _newton(x, fx, jac, uni, r, reg):
-    """Damped Newton on (m, u) from x, whose residual and Jacobian are given.
+def _newton(x, uni, r, reg):
+    """Damped Newton on (m, u) from x.
 
     Returns (x, residual max-norm, why), `why` naming the reason the
     iteration stopped short of a root pinned to NEWTON_TOL, or None.
     """
-    norm = float(np.max(np.abs(fx)))
+    fx, jac = _saddle_residual(x, uni, r, reg)
+    norm0 = norm = float(np.max(np.abs(fx)))
     floor = 1e-300
-    for _ in range(NEWTON_MAX_ITER):
-        if norm < NEWTON_TOL:
-            break
+    for it in range(NEWTON_MAX_ITER + 1):
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
-            return x, norm, "singular Jacobian in saddle solve"
+            return x, norm, _UNPINNED if norm < NEWTON_TOL else "singular Jacobian in saddle solve"
+        if norm < NEWTON_TOL:
+            break
+        if it == NEWTON_MAX_ITER:
+            return x, norm, f"saddle solve above residual contract after {it} iterations"
         alpha = 1.0
         while alpha > 1e-14:
             xn = x + alpha * step
@@ -707,16 +687,19 @@ def _newton(x, fx, jac, uni, r, reg):
             alpha *= 0.5
         else:
             return x, norm, "saddle solve stagnated"
-    if norm >= NEWTON_TOL:
-        return x, norm, f"saddle solve above residual contract after {NEWTON_MAX_ITER} iterations"
     # at a root the tolerance pins, the next step is far below the point
     # itself; not so where the equations barely see the unknowns (r = 1
     # under a penalty of ~1e-12 sigma: any small m solves them to 1e-12)
-    try:
-        step = np.linalg.solve(jac, -fx)
-    except np.linalg.LinAlgError:
+    if not np.all(np.abs(step) <= 1e-2 * x):
         return x, norm, _UNPINNED
-    return x, norm, None if np.all(np.abs(step) <= 1e-2 * x) else _UNPINNED
+    if norm < norm0:
+        # an iterate steps on to rounding, as near r = 1 the order parameters
+        # magnify the residual by ~1/|1 - r|; a start within NEWTON_TOL stays
+        # (under a ban it is the exact root)
+        nn = float(np.max(np.abs(_saddle_residual(x + step, uni, r, reg)[0])))
+        if nn < norm:
+            return x + step, nn, None
+    return x, norm, None
 
 
 def _bracketed_start(uni, r, reg) -> tuple[float, float]:
@@ -733,10 +716,7 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
     """
     def m_root(u):
         """The root m(u) > 0 of the first equation, None past the curve's end."""
-        def first(m):
-            f, jac = _saddle_residual(np.array([m, u]), uni, r, reg)
-            return f[0], jac[0, 0]
-
+        first = _first_equation(uni, r, reg, u)
         if first(0.0)[0] >= 0.0:
             return None
         hi = math.log(u)

@@ -507,6 +507,7 @@ def test_compare_skips_boundary_rows(tmp_path):
         ["phase", "--r-grid", "0.5", "--n", "4", "--trials", "0"],
         ["weights", "--r-grid", "0.5", "--n", "4", "--trials", "-1"],
         ["weights", "--r-grid", "0.5", "--n", "4", "--bin-width", "nan"],
+        ["weights", "--r-grid", "0.5", "--n", "5", "--bin-width", "1e-300"],
     ],
 )
 def test_malformed_values_are_usage_errors(argv, tmp_path, capsys):

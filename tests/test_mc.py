@@ -21,6 +21,7 @@ from minvar import (
     true_optimum,
     weight_histogram,
 )
+from minvar.mc import bin_grid
 
 
 UNI = AssetUniverse.constant(1.0, 20)
@@ -193,6 +194,16 @@ def test_weight_histogram_validation():
     h = weight_histogram(np.zeros(5), bin_width=0.25)
     assert h.atom == 1.0
     assert np.array_equal(h.edges, [0.0, 0.25]) and np.array_equal(h.masses, [0.0])
+
+
+def test_bin_grid_refuses_inexact_edges():
+    # from 2**53 bin widths off 0 on, k * bin_width is no longer exact
+    for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
+        with pytest.raises(ValueError, match="bin width too small"):
+            bin_grid(lo, hi, 2.0**-53)
+    with pytest.raises(ValueError, match="bin width too small"):
+        weight_histogram(np.array([0.0, 1.0]), bin_width=1e-300)
+    assert np.array_equal(bin_grid(-0.5, 1.0, 0.5), [-0.5, 0.0, 0.5, 1.0])
 
 
 def test_weight_histogram_on_given_edges():

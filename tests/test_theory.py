@@ -32,9 +32,11 @@ from minvar import (
     unconstrained_solution,
 )
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
+from minvar import theory
 from minvar.theory import (
     CRITICAL_MARGIN,
     NEWTON_MAX_ITER,
+    _first_equation,
     _mean,
     _newton_right,
     _saddle_residual,
@@ -455,13 +457,45 @@ def test_general_solver_matches_unconstrained_corner(r):
         assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_general_solver_matches_unconstrained_corner_near_r_1(gap):
+    # Newton starts at the banned-shorts root, far from this corner's; a
+    # residual of NEWTON_TOL would leave the order parameters ~1e-12/gap off
+    uni = AssetUniverse.lognormal(0.0, 0.5, 20, 1)
+    ref = unconstrained_solution(uni, 1.0 - gap)
+    sol = general_l1_solve(uni, 1.0 - gap, RegularizerParams.none())
+    for a, b in zip(sol.order_params, ref.order_params):
+        assert a == pytest.approx(b, rel=1e-8 + 1e-14 / gap, abs=1e-10)
+
+
 @pytest.mark.parametrize("r", np.linspace(0.1, 1.9, 5))
 def test_general_solver_matches_noshort_corner(r):
+    # under a ban eta1 only shifts lam: the banned-shorts root, the penalized
+    # solver's start, solves both saddle equations for every eta1
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
     ref = noshort_solution(uni, r)
-    sol = general_l1_solve(uni, r, RegularizerParams.short_ban())
-    for a, b in zip(sol.order_params, ref.order_params):
-        assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
+    for eta1 in (0.0, 0.3, 32.0):
+        sol = general_l1_solve(uni, r, RegularizerParams(eta1, math.inf))
+        for a, b in ((sol.delta, ref.delta), (sol.q0, ref.q0), (sol.n0, ref.n0)):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        assert abs((sol.lam - eta1) - ref.lam) <= 1e-13 * max(1.0, eta1)
+
+
+def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
+    # at r = 1 under a penalty of 1e-12 sigma the equations barely see m, so
+    # Newton from the banned-shorts root leaves the root unpinned
+    calls = []
+    bracketed = theory._bracketed_start
+
+    def counted(*args):
+        calls.append(args)
+        return bracketed(*args)
+
+    monkeypatch.setattr(theory, "_bracketed_start", counted)
+    sol = general_l1_solve(AssetUniverse((2.0,)), 1.0, RegularizerParams(0.0, 1e-12))
+    assert len(calls) == 1
+    assert max(abs(e) for e in _saddle_equations(sol)) < 1e-10
+    assert math.sqrt(-2.0 * sol.q0_hat) == pytest.approx(7.36e-5, rel=1e-2)
 
 
 def test_large_short_penalty_approaches_ban():
@@ -500,6 +534,21 @@ def test_penalized_solver_is_critical_from_r_2(reg, r):
     uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
     with pytest.raises(CriticalPhaseError):
         general_l1_solve(uni, r, reg)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda uni, r: noshort_lambda(uni, r),
+    lambda uni, r: noshort_solution(uni, r),
+    lambda uni, r: unconstrained_solution(uni, r),
+    lambda uni, r: general_l1_solve(uni, r, RegularizerParams(0.3, 1.5)),
+    lambda uni, r: free_energy_functional((1.0, 1.0, 0.5, -0.5, 1.0), uni, r,
+                                          RegularizerParams.none()),
+], ids=["noshort_lambda", "noshort_solution", "unconstrained_solution",
+        "general_l1_solve", "free_energy_functional"])
+def test_nan_ratio_is_refused(solve):
+    # nan fails every comparison, so only `not r > 0` refuses it up front
+    with pytest.raises(ValueError, match="r must be positive"):
+        solve(AssetUniverse((1.0, 2.0)), math.nan)
 
 
 def test_error_hierarchy():
@@ -627,7 +676,9 @@ def test_saddle_jacobian_matches_central_differences(reg):
     for _ in range(20):
         r = float(rng.uniform(0.05, 1.95))
         x = np.array([rng.uniform(-0.25, 3.0), rng.uniform(0.1, 3.0)])
-        _, jac = _saddle_residual(x, uni, r, reg)
+        f, jac = _saddle_residual(x, uni, r, reg)
+        first = _first_equation(uni, r, reg, x[1])(x[0])
+        assert first == pytest.approx((f[0], jac[0, 0]), rel=1e-15, abs=0.0)
         fd = np.empty((2, 2))
         for j in range(2):
             h = 1e-6 * max(abs(x[j]), 1e-2)
