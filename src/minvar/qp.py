@@ -21,12 +21,14 @@ corral's affine minimizer and drop the member that would cross zero first.
 The affine minimizer comes from a Cholesky factor of M = C_ff + rho 11'
 with rho = trace(C)/N: on the budget plane w' M w = w' C w + rho budget^2,
 so the shift moves no optimum, and M is positive definite exactly when the
-corral's asset vectors are affinely independent. An add appends one
-column to the factor (one triangular solve), a drop restores it in place
-with Givens rotations; both cost O(k^2) for k free assets. If the first
-asset of a batch lies in the corral's affine hull it would give a zero
-pivot, so it first swaps weight with the member it can replace; later
-assets of the batch in the hull are skipped.
+corral's asset vectors are affinely independent. An add solves the new
+factor column in place, in the factor's spare column (one triangular
+solve), and a drop restores the factor in place with Givens rotations;
+both cost O(k^2) for k free assets. If the first asset of a batch lies in
+the corral's affine hull it would give a zero pivot, so it first swaps
+weight with the member it can replace; later assets of the batch in the
+hull are skipped. A flat result's rank(C), which the solve never needs,
+is factored only when `flat_directions` is read.
 
 The brute-force oracle enumerates supports and solves each one with the
 equality solver; it checks which support the active set picks.
@@ -37,7 +39,8 @@ No ridge, no jitter: a flat optimum is reported as flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr_delete, solve_triangular
@@ -70,6 +73,11 @@ ZERO_RTOL = 1e-10
 # threshold, misses stationarity by lam * max|z_i - mean(z)|, which is at
 # most 1e-12 sqrt(N) lam there. So the threshold sits just clear of the noise.
 FLAT_RTOL = 1e-24
+# scipy's qr_delete wraps its Cython core in a batching layer that costs
+# 11-22 us of every call, as much as the rotations of a small drop (15.7 ->
+# 5.0 us at k - q = 2, 37.9 -> 20.5 at 54); a drop passes 2-D arrays only,
+# so it calls the core directly
+_qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
 # corral's affine hull; it is never pivoted on: the first asset of a batch is
 # swapped in, a later one skipped
@@ -173,21 +181,31 @@ class QpResult:
     with at most rank(C) + 1 nonzero weights. `lam` is the budget
     multiplier at the solution. `iterations` counts the no-short solver's
     active-set steps (adds plus drops) and is 0 for the other solvers.
+
+    `flat_directions` is computed when first read, from `flat`: the count
+    itself, or, for a degenerate result of a solver that never needed
+    rank(C) (the no-short solver and its oracle), the read-only covariance,
+    which the first read factors once.
     """
 
     weights: np.ndarray
     objective: float
     active_set: tuple[int, ...]
     degenerate: bool
-    flat_directions: int
     constraint: str
     lam: float
     iterations: int = 0
+    flat: int | CovMatrix = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def flat_directions(self) -> int:
+        flat = self.flat
+        return flat.n - flat.rank if isinstance(flat, CovMatrix) else flat
 
 
 def _square(m: np.ndarray) -> np.ndarray:
@@ -256,9 +274,9 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
                 objective=obj,
                 active_set=(),
                 degenerate=True,
-                flat_directions=n - rank,
                 constraint="equality",
                 lam=0.0,
+                flat=n - rank,
             )
         # C^+ 1 = Q S^-T S^-1 Q' 1
         y = solve_triangular(s_fac, a, check_finite=False)
@@ -276,9 +294,9 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         objective=obj,
         active_set=(),
         degenerate=degen,
-        flat_directions=(n - rank) if degen else 0,
         constraint="equality",
         lam=2.0 * b / s,
+        flat=(n - rank) if degen else 0,
     )
 
 
@@ -304,8 +322,11 @@ class _Corral:
     works in place. LAPACK band storage with kd = N - 1 and lda = N + 1 puts
     entry (i, j) at (N - 1 + i - j) + (N + 1) j = (N - 1) + i + N j: the same
     memory, shifted by N - 1 entries. Through that band view, dtbsv solves
-    with the leading k x k block of R without copying it. y holds R'^-1 1,
-    which gives the affine minimizer through one more solve.
+    with the leading k x k block of R without copying it. A pivot gathers
+    C[j, f] + rho into the spare column and solves it there, so an add
+    only writes the pivot below it; a drop borrows the same column for y.
+    y holds R'^-1 1, which gives the affine minimizer through one more
+    solve.
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):
@@ -334,17 +355,25 @@ class _Corral:
         return dtbsv(self.kd, self.band[:, : self.k], x, trans=trans)
 
     def pivot(self, j: int) -> tuple[np.ndarray, float, float]:
-        """New factor column l of asset j, its squared pivot d2, and M_jj."""
+        """New factor column l of asset j, its squared pivot d2, and M_jj.
+
+        l is solved in place in the spare column of R, a view that the
+        next pivot or drop overwrites.
+        """
+        k = self.k
         mjj = self.cm[j, j] + self.rho
-        l = self.solve(self.cm[j, self.members] + self.rho, trans=1)
+        # the members are valid indices; mode="clip" spares take's buffer
+        l = np.take(self.cm[j], self.members, out=self.r[:k, k], mode="clip")
+        l += self.rho
+        dtbsv(self.kd, self.band[:, :k], l, trans=1, overwrite_x=1)
         return l, mjj - float(l @ l), mjj
 
-    def add(self, j: int, l: np.ndarray, d2: float) -> None:
+    def add(self, j: int, d2: float) -> None:
+        """Append asset j with the column that pivot(j) left in place."""
         k = self.k
         d = math.sqrt(d2)
-        self.r[:k, k] = l
         self.r[k, k] = d
-        self.y[k] = (1.0 - float(l @ self.y[:k])) / d
+        self.y[k] = (1.0 - float(self.r[:k, k] @ self.y[:k])) / d
         self.idx[k] = j
         self.mask[j] = True
         self.k = k + 1
@@ -360,7 +389,7 @@ class _Corral:
         # rotate it alike: R'y = 1 holds for the remaining columns under any
         # orthogonal map of the rows. The rows above q only shift.
         r[q:k, k] = self.y[q:k]
-        qr_delete(
+        _qr_delete(
             np.eye(k - q), r[q:k, q : k + 1], 0, which="col",
             overwrite_qr=True, check_finite=False,
         )
@@ -383,10 +412,12 @@ def _improving(mu: np.ndarray, tol: float) -> np.ndarray:
     return cand[np.argsort(mu[cand], kind="stable")[:ADD_BATCH]]
 
 
-def _first_blocking(ratios: np.ndarray, members: np.ndarray) -> int:
-    """Position of the smallest ratio; the lowest asset index breaks ties."""
-    ties = np.flatnonzero(ratios == ratios.min())
-    return int(ties[np.argmin(members[ties])])
+def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
+    """(position, ratio) of the smallest of `ratios`, taken at corral positions
+    `pos`; the lowest asset index breaks ties."""
+    t = ratios.min()
+    ties = pos[ratios == t]
+    return int(ties[np.argmin(members[ties])]), t
 
 
 def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpResult:
@@ -457,12 +488,9 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             # direction e_j - c and drop the member that empties first, whose
             # coefficient is clear of rounding, so j pivots on a nonzero
             f = corral.members
-            coef = corral.solve(l)  # M^-1 m_j
-            ratios = np.full(corral.k, np.inf)
-            pos = coef > 1e-9
-            ratios[pos] = w[f[pos]] / coef[pos]
-            q = _first_blocking(ratios, f)
-            t = ratios[q]
+            coef = corral.solve(l)  # M^-1 m_j, before the drop reuses l's column
+            pos = np.flatnonzero(coef > 1e-9)
+            q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
             w[f] = np.maximum(w[f] - t * coef, 0.0)
             w[f[q]] = 0.0
             w[j] = t
@@ -471,15 +499,15 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             l, d2, mjj = corral.pivot(j)
             if not d2 > 0.0:
                 raise failure(f"asset {j} stays affinely dependent", mu_min)
-        corral.add(j, l, d2)
+        corral.add(j, d2)
         # a swap moves w along a null direction of C (to the pivot
         # tolerance), so the rest of the batch keeps its multipliers; a later
         # candidate in the corral's affine hull is skipped, not swapped
         for j in batch[1:]:
-            l, d2, mjj = corral.pivot(int(j))
+            _, d2, mjj = corral.pivot(int(j))
             if d2 > PIVOT_RTOL * mjj:
                 count_step(mu_min)
-                corral.add(int(j), l, d2)
+                corral.add(int(j), d2)
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members
@@ -489,28 +517,24 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             count_step(mu_min)
             # minimum-ratio step toward the affine minimizer
             w_f = w[f]
-            blocked = v < -tol_w
-            ratios = np.full(corral.k, np.inf)
-            ratios[blocked] = w_f[blocked] / (w_f[blocked] - v[blocked])
-            q = _first_blocking(ratios, f)
-            alpha = min(max(ratios[q], 0.0), 1.0)
+            pos = np.flatnonzero(v < -tol_w)
+            q, t = _first_blocking(pos, w_f[pos] / (w_f[pos] - v[pos]), f)
+            alpha = min(max(t, 0.0), 1.0)
             w[f] = w_f + alpha * (v - w_f)
             w[f[q]] = 0.0
             corral.drop(q)
 
     obj = max(float(w @ g), 0.0)
     degen = obj < cov.tol_zero
-    active = tuple(int(i) for i in np.flatnonzero(~corral.mask))
-    del corral  # free the factor storage before cov.rank factors C
     return QpResult(
         weights=w,
         objective=obj,
-        active_set=active,
+        active_set=tuple(int(i) for i in np.flatnonzero(~corral.mask)),
         degenerate=degen,
-        flat_directions=(n - cov.rank) if degen else 0,
         constraint="noshort",
         lam=lam,
         iterations=steps,
+        flat=cov if degen else 0,
     )
 
 
@@ -582,7 +606,7 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
         objective=obj,
         active_set=tuple(int(i) for i in np.flatnonzero(zero)),
         degenerate=degen,
-        flat_directions=(n - cov.rank) if degen else 0,
         constraint="noshort",
         lam=lam,
+        flat=cov if degen else 0,
     )

@@ -602,8 +602,9 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     under any ban (eta1 only shifts lam); if it stops short of a root pinned
     to NEWTON_TOL, it runs again from `_bracketed_start`; a pinned or
     smaller residual wins.
-    Corners reproduce the closed forms: eta = (0, 0) matches
-    `unconstrained_solution`, eta = (0, inf) matches `noshort_solution`.
+    Corners reproduce the closed forms: eta = (0, 0) returns
+    `unconstrained_solution` itself, eta = (0, inf) matches
+    `noshort_solution`.
 
     Raises PhaseBoundaryError / CriticalPhaseError off the feasible phase,
     and NoConvergenceError if no start reaches a residual below 1e-10 or,
@@ -625,10 +626,11 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
-    if reg.eta1 == 0.0 and reg.eta2 == 0.0 and r >= 1:
-        raise PhaseBoundaryError(
-            f"penalty-free system has no solution at r = {r:g} (boundary r = 1)"
-        )
+    if reg.eta1 == 0.0 and reg.eta2 == 0.0:
+        # the closed form, exact where Newton from the banned-shorts root
+        # stagnates (within ~1e-9 of r = 1); it raises PhaseBoundaryError
+        # from r = 1 on
+        return unconstrained_solution(uni, r)
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
 

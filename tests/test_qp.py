@@ -25,6 +25,7 @@ from minvar import (
     min_variance_noshort,
     true_optimum,
 )
+from minvar import qp
 from minvar.qp import FLAT_RTOL, RANK_RTOL
 
 
@@ -131,6 +132,24 @@ def test_solvers_keep_nothing_on_a_held_covariance(solve, n, t):
     assert res.degenerate == (t < n)
     assert kept < 0.1 * c.matrix.nbytes
     assert list(vars(c)) == ["matrix"]
+
+
+def test_flat_noshort_solve_factors_c_only_when_flat_directions_is_read(monkeypatch):
+    n, t = 40, 10
+    c = CovMatrix.from_returns(_panel(n, t))
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return factor(m)
+
+    factor = qp._factor
+    monkeypatch.setattr(qp, "_factor", counted)
+    res = min_variance_noshort(c, float(n))
+    assert res.degenerate and calls == []
+    assert res.flat_directions == res.flat_directions == n - t
+    assert len(calls) == 1
+    assert res.flat_directions == n - c.rank
 
 
 def _same_result(a, b):
@@ -579,6 +598,27 @@ def test_noshort_batch_breaks_ties_by_lowest_index():
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(CovMatrix.from_matrix(np.diag(d)), 12.0, max_iter=8)
     assert info.value.iterate == [5, 0, 1, 2, 3, 4, 6, 7, 8]
+
+
+def test_noshort_ratio_tie_drops_the_lowest_asset_index():
+    # from the start asset 2 one batch adds 3, 1 and 0, in multiplier order;
+    # the affine weights of the new zero-weight members 1 and 0 are both
+    # negative (-3.0 and -5.4), so both block at step length 0. Asset 0, the
+    # lower index though the later corral position, leaves; then 1 keeps a
+    # positive weight. Had asset 1 left, 0 would leave next and 1 come back.
+    x = np.array([[3, -2, -2, 3], [1, 3, -3, -3], [1, -3, -2, -1], [3, 3, -1, 2]], float)
+    c = CovMatrix.from_matrix(x @ x.T)
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(c, 4.0, max_iter=3)
+    assert info.value.iterate == [2, 3, 1, 0]
+    res = min_variance_noshort(c, 4.0)
+    assert res.iterations == 4  # three adds, one drop
+    assert res.active_set == (0,)
+    assert res.weights[1] > 0.0
+    ref = brute_force_noshort(c, 4.0)
+    assert res.active_set == ref.active_set
+    assert res.objective == pytest.approx(ref.objective, rel=1e-13)
+    assert kkt_residual(c, res, 4.0) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,10 @@ It writes, through `minvar.cli.main`:
   * the analytic benchmark's reference slice at N = 1000 (lognormal sigmas,
     seed 7): `replica` for the noshort, equality and eta = (0.3, 1.5)
     constraints, and the `weights` table;
-  * one no-short and one equality `simulate` at N = 50.
+  * one no-short and one equality `simulate` at N = 50;
+  * a no-short `simulate` at N = 400 (r = 1, 1.9, 2.5, two trials each),
+    whose corrals of a few hundred assets exercise the drops and ratio
+    ties that N = 50 barely reaches.
 
 and prints one `sha256  name` line per table. BLAS is pinned to one thread
 before numpy is loaded, since the no-short Monte Carlo tables hold per BLAS
@@ -39,6 +42,8 @@ TABLES = {
     "simulate-noshort-n50.csv": ("simulate", "--constraint", "noshort", "--n", "50",
                                  "--r-grid", "0.5,1.0,1.5,1.9,2.5",
                                  "--trials", "20", "--seed", "3"),
+    "simulate-noshort-n400.csv": ("simulate", "--constraint", "noshort", "--n", "400",
+                                  "--r-grid", "1,1.9,2.5", "--trials", "2", "--seed", "3"),
     "simulate-equality-n50.csv": ("simulate", "--constraint", "equality", "--n", "50",
                                   "--r-grid", "0.5,0.9,1.5", "--trials", "20",
                                   "--seed", "3"),
