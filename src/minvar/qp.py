@@ -73,10 +73,7 @@ ZERO_RTOL = 1e-10
 # threshold, misses stationarity by lam * max|z_i - mean(z)|, which is at
 # most 1e-12 sqrt(N) lam there. So the threshold sits just clear of the noise.
 FLAT_RTOL = 1e-24
-# scipy's qr_delete wraps its Cython core in a batching layer that costs
-# 11-22 us of every call, as much as the rotations of a small drop (15.7 ->
-# 5.0 us at k - q = 2, 37.9 -> 20.5 at 54); a drop passes 2-D arrays only,
-# so it calls the core directly
+# the Cython core under scipy's batching wrapper of qr_delete (see _Corral)
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
 # corral's affine hull; it is never pivoted on: the first asset of a batch is
@@ -318,15 +315,18 @@ class _Corral:
 
     M = C_ff + rho 11' over the members, in factor order, and M = R'R with R
     upper triangular. R is kept in column-major full storage with leading
-    dimension N and one spare column, so an add writes one column and a drop
-    works in place. LAPACK band storage with kd = N - 1 and lda = N + 1 puts
-    entry (i, j) at (N - 1 + i - j) + (N + 1) j = (N - 1) + i + N j: the same
-    memory, shifted by N - 1 entries. Through that band view, dtbsv solves
+    dimension N and one spare column, so adds and drops work in place. LAPACK
+    band storage with kd = N - 1 and lda = N + 1 puts entry (i, j) at
+    (N - 1 + i - j) + (N + 1) j = (N - 1) + i + N j: the same memory,
+    shifted by N - 1 entries. Through that band view, dtbsv solves
     with the leading k x k block of R without copying it. A pivot gathers
     C[j, f] + rho into the spare column and solves it there, so an add
     only writes the pivot below it; a drop borrows the same column for y.
     y holds R'^-1 1, which gives the affine minimizer through one more
-    solve.
+    solve. A drop calls qr_delete's Cython core directly: scipy's wrapper
+    around it, which broadcasts over batches of matrices, costs 11-22 us
+    of every call, as much as the rotations of a small drop (15.7 -> 5.0
+    us at k - q = 2, 37.9 -> 20.5 at 54), and a drop passes one 2-D block.
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):

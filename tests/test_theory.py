@@ -457,21 +457,11 @@ def test_general_solver_matches_unconstrained_corner(r):
         assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
-@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1.1e-12])
 def test_general_solver_matches_unconstrained_corner_near_r_1(gap):
-    # a root solve to a residual of NEWTON_TOL would leave the order
-    # parameters ~1e-12/gap off the closed form
-    uni = AssetUniverse.lognormal(0.0, 0.5, 20, 1)
-    ref = unconstrained_solution(uni, 1.0 - gap)
-    sol = general_l1_solve(uni, 1.0 - gap, RegularizerParams.none())
-    for a, b in zip(sol.order_params, ref.order_params):
-        assert a == pytest.approx(b, rel=1e-8 + 1e-14 / gap, abs=1e-10)
-
-
-@pytest.mark.parametrize("gap", [1.1e-12, 1e-9, 1e-6])
-def test_general_solver_is_the_closed_form_at_eta_zero(gap):
-    # Newton from the banned-shorts root stagnates this close to r = 1 (a
-    # root 6e-5 relative off at gap 1.1e-12); the corner is the closed form
+    # a root solve would stagnate this close to r = 1 (Newton from the
+    # banned-shorts root ended 6e-5 relative off at gap 1.1e-12); the corner
+    # is the closed form itself
     uni = AssetUniverse.lognormal(0.0, 0.95, 37, 6108)
     ref = unconstrained_solution(uni, 1.0 - gap)
     sol = general_l1_solve(uni, 1.0 - gap, RegularizerParams(0.0, 0.0))
