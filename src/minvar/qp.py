@@ -324,9 +324,10 @@ class _Corral:
     only writes the pivot below it; a drop borrows the same column for y.
     y holds R'^-1 1, which gives the affine minimizer through one more
     solve. A drop calls qr_delete's Cython core directly: scipy's wrapper
-    around it, which broadcasts over batches of matrices, costs 11-22 us
-    of every call, as much as the rotations of a small drop (15.7 -> 5.0
-    us at k - q = 2, 37.9 -> 20.5 at 54), and a drop passes one 2-D block.
+    around it broadcasts over batches of matrices, which a drop's single
+    2-D block does not need, and costs 9-11 us of every call, more than
+    the rotations themselves (12.5 -> 1.4 us at k - q = 2, 16.5 -> 7.2 us
+    at 54; 2-vCPU Xeon VM, one BLAS thread).
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):
