@@ -364,7 +364,7 @@ class _Corral:
         k = self.k
         mjj = self.cm[j, j] + self.rho
         # the members are valid indices; mode="clip" spares take's buffer
-        l = np.take(self.cm[j], self.members, out=self.r[:k, k], mode="clip")
+        l = self.cm[j].take(self.members, out=self.r[:k, k], mode="clip")
         l += self.rho
         dtbsv(self.kd, self.band[:, :k], l, trans=1, overwrite_x=1)
         return l, mjj - float(l @ l), mjj
@@ -414,8 +414,10 @@ def _improving(mu: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
-    """(position, ratio) of the smallest of `ratios`, taken at corral positions
-    `pos`; the lowest asset index breaks ties."""
+    """(q, ratio) of the smallest ratio, ratios[i] taken at corral position pos[i].
+
+    The lowest asset index among the tied positions breaks ties.
+    """
     t = ratios.min()
     ties = pos[ratios == t]
     return int(ties[np.argmin(members[ties])]), t

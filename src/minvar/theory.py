@@ -627,9 +627,9 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     if not r > 0:
         raise ValueError("r must be positive")
     if reg.eta1 == 0.0 and reg.eta2 == 0.0:
-        # the closed form, exact where Newton from the banned-shorts root
-        # stagnates (within ~1e-9 of r = 1); it raises PhaseBoundaryError
-        # from r = 1 on
+        # the closed form: next to r = 1 Newton from the banned-shorts root
+        # stagnates (6e-5 relative off at 1 - r = 1.1e-12). It raises
+        # PhaseBoundaryError from r = 1 on.
         return unconstrained_solution(uni, r)
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
