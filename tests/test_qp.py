@@ -138,12 +138,12 @@ def test_flat_noshort_solve_factors_c_only_when_flat_directions_is_read(monkeypa
     n, t = 40, 10
     c = CovMatrix.from_returns(_panel(n, t))
     calls = []
+    factor = qp._factor
 
     def counted(m):
         calls.append(m.shape)
         return factor(m)
 
-    factor = qp._factor
     monkeypatch.setattr(qp, "_factor", counted)
     res = min_variance_noshort(c, float(n))
     assert res.degenerate and calls == []
@@ -605,7 +605,8 @@ def test_noshort_ratio_tie_drops_the_lowest_asset_index():
     # the affine weights of the new zero-weight members 1 and 0 are both
     # negative (-3.0 and -5.4), so both block at step length 0. Asset 0, the
     # lower index though the later corral position, leaves; then 1 keeps a
-    # positive weight. Had asset 1 left, 0 would leave next and 1 come back.
+    # positive weight. Had asset 1 left, 0 would leave next and 1 come back
+    # (six steps to the same optimum).
     x = np.array([[3, -2, -2, 3], [1, 3, -3, -3], [1, -3, -2, -1], [3, 3, -1, 2]], float)
     c = CovMatrix.from_matrix(x @ x.T)
     with pytest.raises(ActiveSetError) as info:
