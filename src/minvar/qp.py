@@ -27,8 +27,9 @@ solve), and a drop restores the factor in place with Givens rotations;
 both cost O(k^2) for k free assets. If the first asset of a batch lies in
 the corral's affine hull it would give a zero pivot, so it first swaps
 weight with the member it can replace; later assets of the batch in the
-hull are skipped. A flat result's rank(C), which the solve never needs,
-is factored only when `flat_directions` is read.
+hull are skipped. The solve never factors C itself: a degenerate result
+says only that the optimum has zero variance, and `CovMatrix.rank` gives
+rank(C) to a caller who wants it.
 
 The brute-force oracle enumerates supports and solves each one with the
 equality solver; it checks which support the active set picks.
@@ -39,8 +40,7 @@ No ridge, no jitter: a flat optimum is reported as flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr_delete, solve_triangular
@@ -63,7 +63,7 @@ __all__ = [
 # step count is the certified rank. An eigenvalue test at the same level
 # would agree except for eigenvalues within a small factor of the threshold.
 RANK_RTOL = 1e-10
-# an objective below ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
+# an objective at most ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
 # z, the part of 1 outside the range of a singular C, counts as zero when
 # |z|^2 <= FLAT_RTOL * N. The threshold weighs two errors. Rounding leaves
@@ -94,19 +94,42 @@ class CovMatrix:
     """Validated dense symmetric PSD matrix: one read-only N x N array.
 
     Its rank is certified by a pivoted Cholesky factor, which is formed per
-    solve (and per `rank` query) and not kept. A pivoted Cholesky factor
-    cannot tell an indefinite matrix from a PSD one, so `from_matrix` checks
-    the spectrum of raw arrays (and their symmetry); `from_returns` builds
-    Gram matrices of return samples, PSD by construction. Both keep the one
-    array they build; the plain constructor copies its argument.
+    solve (and per `rank` query) and not kept. The constructor takes an
+    outside array: it keeps one C-ordered float copy, which must be
+    nonempty, square, finite and symmetric to 1e-12, symmetrises it, and
+    checks its spectrum, since a pivoted Cholesky factor cannot tell an
+    indefinite matrix from a PSD one. `from_returns` builds the Gram matrix
+    of a return sample, PSD and symmetric by construction, so it skips the
+    spectrum. Both raise CovarianceError on bad input.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square(np.array(self.matrix, dtype=float, order="C"))
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        c = np.array(self.matrix, dtype=float, order="C")  # the one owned copy
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+            raise CovarianceError("covariance must be a nonempty square matrix")
+        if not np.isfinite(c).all():
+            raise CovarianceError("covariance must be finite")
+        scale = max(1.0, float(np.max(np.abs(c))))
+        # abs() of the temporary runs in place (numpy elides it); np.abs would not
+        if float(np.max(abs(c - c.T))) > 1e-12 * scale:
+            raise CovarianceError("covariance must be symmetric to 1e-12")
+        # 0.5 c + 0.5 c', in place; numpy buffers the overlapping c'. Halving
+        # first is exact and keeps every sum finite; it rounds as 0.5 (c + c')
+        c *= 0.5
+        np.add(c, c.T, out=c)
+        # the solvers scale by trace/N
+        trace = float(np.trace(c))
+        if not math.isfinite(trace):
+            raise CovarianceError("covariance trace must be finite")
+        vals = np.linalg.eigvalsh(c)
+        if vals[0] < -1e-10 * max(trace, 0.0) - 1e-300:
+            raise CovarianceError(
+                f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
+            )
+        c.flags.writeable = False
+        object.__setattr__(self, "matrix", c)
 
     @classmethod
     def _own(cls, m: np.ndarray) -> "CovMatrix":
@@ -122,7 +145,9 @@ class CovMatrix:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise CovarianceError("returns must be an (N, T) array")
-        t = x.shape[1]
+        n, t = x.shape
+        if n < 1:
+            raise CovarianceError("need at least one asset")
         if t < 1:
             raise CovarianceError("need at least one observation")
         # numpy runs x @ x.T on a C- or F-ordered x as a symmetric rank-k
@@ -132,23 +157,13 @@ class CovMatrix:
             x = np.ascontiguousarray(x)
         c = x @ x.T
         c /= t
-        return cls._own(c)
-
-    @classmethod
-    def from_matrix(cls, c: np.ndarray) -> "CovMatrix":
-        c = _square(np.array(c, dtype=float, order="C"))  # the one owned copy
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
-        # abs() of the temporary runs in place (numpy elides it); np.abs would not
-        if float(np.max(abs(c - c.T))) > 1e-12 * scale:
-            raise CovarianceError("covariance must be symmetric to 1e-12")
-        # 0.5 (c + c'), in place; numpy buffers the overlapping c'
-        np.add(c, c.T, out=c)
-        c *= 0.5
-        vals = np.linalg.eigvalsh(c)
-        if vals[0] < -1e-10 * max(float(np.trace(c)), 0.0) - 1e-300:
-            raise CovarianceError(
-                f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
-            )
+        # a finite trace means a finite matrix: a nan or inf return, or one
+        # whose square overflows, makes its own diagonal entry non-finite,
+        # and by Cauchy-Schwarz no partial sum of an off-diagonal entry of
+        # X X' exceeds the larger of its two diagonal entries in size. The
+        # solvers scale by trace/N, so a trace that overflows is refused too.
+        if not math.isfinite(float(np.trace(c))):
+            raise CovarianceError("returns must be finite, with finite squares")
         return cls._own(c)
 
     @property
@@ -161,7 +176,7 @@ class CovMatrix:
 
     @property
     def tol_zero(self) -> float:
-        """Objective threshold under which the optimum counts as zero variance."""
+        """Objective threshold at or under which the optimum counts as zero variance."""
         return ZERO_RTOL * float(np.trace(self.matrix)) / self.n
 
 
@@ -170,19 +185,15 @@ class QpResult:
     """Solution record of one quadratic program.
 
     `active_set` lists the indices pinned at zero (always empty for the
-    equality-only problem). `degenerate` marks a zero-variance optimum;
-    `flat_directions` counts the covariance null-space dimensions along
-    which the optimum is flat (N - rank(C) when degenerate, else 0). A
-    flat optimum is not unique: the equality solver reports its
-    minimum-norm representative, the no-short solver a vertex-like point
-    with at most rank(C) + 1 nonzero weights. `lam` is the budget
-    multiplier at the solution. `iterations` counts the no-short solver's
-    active-set steps (adds plus drops) and is 0 for the other solvers.
-
-    `flat_directions` is computed when first read, from `flat`: the count
-    itself, or, for a degenerate result of a solver that never needed
-    rank(C) (the no-short solver and its oracle), the read-only covariance,
-    which the first read factors once.
+    equality-only problem). `degenerate` marks a zero-variance optimum,
+    one whose objective is at most `CovMatrix.tol_zero`. On a nonzero
+    budget it needs a (numerically) singular C and is not unique: the
+    equality solver reports its minimum-norm representative, the no-short
+    solver a vertex-like point with at most rank(C) + 1 nonzero weights,
+    where rank(C) is `CovMatrix.rank`. `lam` is the budget multiplier at the
+    solution. `iterations` counts the no-short solver's active-set steps
+    (adds plus drops) and is 0 for the other solvers. The record holds the
+    optimum only, never the covariance.
     """
 
     weights: np.ndarray
@@ -192,23 +203,11 @@ class QpResult:
     constraint: str
     lam: float
     iterations: int = 0
-    flat: int | CovMatrix = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    @cached_property
-    def flat_directions(self) -> int:
-        flat = self.flat
-        return flat.n - flat.rank if isinstance(flat, CovMatrix) else flat
-
-
-def _square(m: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise CovarianceError("covariance must be a square matrix")
-    return m
 
 
 def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -226,7 +225,7 @@ def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _as_cov(c) -> CovMatrix:
-    return c if isinstance(c, CovMatrix) else CovMatrix.from_matrix(c)
+    return c if isinstance(c, CovMatrix) else CovMatrix(c)
 
 
 def min_variance_equality(c, budget: float = None) -> QpResult:
@@ -238,13 +237,17 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     along an affine set. Its minimum-norm point is b z / 1'z, where z is the
     part of 1 orthogonal to the factor's column space (1'z = |z|^2 in exact
     arithmetic; dividing by the computed 1'z makes the budget exact). It is
-    returned with `degenerate` set and `flat_directions` = N - rank. When 1
-    lies in that column space, z is zero up to rounding and the solution is
-    b C^+ 1 / 1'C^+ 1; a z with |z|^2 <= FLAT_RTOL * N counts as zero.
+    returned with `degenerate` set. When 1 lies in that column space, z is
+    zero up to rounding and the solution is b C^+ 1 / 1'C^+ 1; a z with
+    |z|^2 <= FLAT_RTOL * N counts as zero. On this and the full-rank path,
+    `degenerate` marks an objective at most `CovMatrix.tol_zero`. Raises
+    ValueError on a budget that is not finite.
     """
     cov = _as_cov(c)
     n = cov.n
     b = float(n if budget is None else budget)
+    if not math.isfinite(b):
+        raise ValueError("budget must be finite")
     l, piv, rank = _factor(cov.matrix)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
 
@@ -273,7 +276,6 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
                 degenerate=True,
                 constraint="equality",
                 lam=0.0,
-                flat=n - rank,
             )
         # C^+ 1 = Q S^-T S^-1 Q' 1
         y = solve_triangular(s_fac, a, check_finite=False)
@@ -285,15 +287,13 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     w = np.empty(n)
     w[piv] = (b / s) * x
     obj = max(float(w @ cov.matrix @ w), 0.0)
-    degen = obj < cov.tol_zero
     return QpResult(
         weights=w,
         objective=obj,
         active_set=(),
-        degenerate=degen,
+        degenerate=obj <= cov.tol_zero,
         constraint="equality",
         lam=2.0 * b / s,
-        flat=(n - rank) if degen else 0,
     )
 
 
@@ -439,13 +439,14 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     `iterations` counts adds plus drops. Flat (zero-variance) optima are
     detected from the final objective against the scaled threshold and
     flagged, never regularized; they end with at most rank(C) + 1 corral
-    members. Raises ActiveSetError if the step cap (50 N) is exhausted.
+    members. Raises ValueError on a budget that is negative or not finite,
+    and ActiveSetError if the step cap (50 N) is exhausted.
     """
     cov = _as_cov(c)
     n = cov.n
     b = float(n if budget is None else budget)
-    if b < 0:
-        raise ValueError("budget must be nonnegative")
+    if not 0.0 <= b < math.inf:
+        raise ValueError("budget must be finite and nonnegative")
     cap = 50 * n if max_iter is None else max_iter
     cm = cov.matrix
     rho = max(float(np.trace(cm)) / n, 1e-300)
@@ -528,16 +529,14 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             corral.drop(q)
 
     obj = max(float(w @ g), 0.0)
-    degen = obj < cov.tol_zero
     return QpResult(
         weights=w,
         objective=obj,
         active_set=tuple(int(i) for i in np.flatnonzero(~corral.mask)),
-        degenerate=degen,
+        degenerate=obj <= cov.tol_zero,
         constraint="noshort",
         lam=lam,
         iterations=steps,
-        flat=cov if degen else 0,
     )
 
 
@@ -584,8 +583,8 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
     if n > 12:
         raise ValueError("brute force is limited to N <= 12")
     b = float(n if budget is None else budget)
-    if b < 0:
-        raise ValueError("budget must be nonnegative")
+    if not 0.0 <= b < math.inf:
+        raise ValueError("budget must be finite and nonnegative")
     cm = cov.matrix
     tol_feas = 1e-12 * max(abs(b), 1.0)
     best = None
@@ -602,14 +601,12 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
             best = (obj, w, lam)
     obj, w, lam = best
     obj = max(obj, 0.0)
-    degen = obj < cov.tol_zero
     zero = w <= tol_feas
     return QpResult(
         weights=w,
         objective=obj,
         active_set=tuple(int(i) for i in np.flatnonzero(zero)),
-        degenerate=degen,
+        degenerate=obj <= cov.tol_zero,
         constraint="noshort",
         lam=lam,
-        flat=cov if degen else 0,
     )

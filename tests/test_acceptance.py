@@ -218,7 +218,7 @@ def test_criterion_6_qp_oracle_equivalence(criterion_recorder):
         n = int(rng.integers(2, 9))
         rank = int(rng.integers(1, n + 1)) if k % 3 == 0 else n
         a = rng.standard_normal((n, rank))
-        c = CovMatrix.from_matrix(a @ a.T / rank)
+        c = CovMatrix(a @ a.T / rank)
         b = float(rng.uniform(0.5, 3.0))
         res = min_variance_noshort(c, b)
         ref = brute_force_noshort(c, b)

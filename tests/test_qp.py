@@ -7,6 +7,7 @@ eigendecomposition solver kept here as an oracle.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -62,30 +63,56 @@ def test_from_returns_is_exactly_symmetric(n, t):
         assert np.allclose(c, x @ x.T / t, rtol=1e-13, atol=1e-13)
 
 
-def test_from_matrix_validation():
-    with pytest.raises(CovarianceError):
-        CovMatrix.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(CovarianceError):
-        CovMatrix.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eig -1
-    c = CovMatrix.from_matrix(np.eye(3))
+def test_constructor_validation():
+    bad = [
+        [[1.0, 0.5], [0.2, 1.0]],  # asymmetric
+        [[1.0, 2.0], [2.0, 1.0]],  # eig -1
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        np.diag([1e308, 1e308]),  # finite, but its trace overflows
+        np.zeros((0, 0)),
+        np.ones(3),
+    ]
+    for m in bad:
+        with np.errstate(over="ignore"), pytest.raises(CovarianceError):
+            CovMatrix(m)
+    c = CovMatrix(np.eye(3))
     assert c.rank == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_from_returns_rejects_non_finite_samples(bad):
+    # 1e200 is finite, but its square overflows the diagonal of X X'
+    x = np.ones((3, 4))
+    x[1, 2] = bad
+    with np.errstate(over="ignore"), pytest.raises(CovarianceError):
+        CovMatrix.from_returns(x)
+    x[1, 2] = 1e150  # square 1e300: finite, and kept
+    assert np.isfinite(CovMatrix.from_returns(x).matrix).all()
+
+
+def test_from_returns_rejects_an_empty_panel():
+    with pytest.raises(CovarianceError):
+        CovMatrix.from_returns(np.zeros((0, 5)))
+
+
 def test_matrix_is_readonly():
-    c = CovMatrix.from_matrix(np.eye(2))
+    c = CovMatrix(np.eye(2))
     with pytest.raises(ValueError):
         c.matrix[0, 0] = 5.0
 
 
-def test_from_matrix_keeps_one_c_ordered_symmetrised_copy():
+def test_constructor_keeps_one_c_ordered_symmetrised_copy():
     rng = np.random.default_rng(3)
     m = rand_psd(rng, 6)
     m[0, 1] += 1e-14  # asymmetric within the 1e-12 gate
     for src in (m, np.asfortranarray(m)):
-        c = CovMatrix.from_matrix(src).matrix
+        c = CovMatrix(src).matrix
         assert np.array_equal(c, 0.5 * (m + m.T))
         assert c.flags.c_contiguous and not c.flags.writeable
         assert not np.shares_memory(c, src)
+    # halving before the sum keeps an entry above DBL_MAX / 2 finite
+    assert CovMatrix([[1e308]]).matrix[0, 0] == 1e308
 
 
 def test_from_returns_owns_a_readonly_matrix():
@@ -134,9 +161,7 @@ def test_solvers_keep_nothing_on_a_held_covariance(solve, n, t):
     assert list(vars(c)) == ["matrix"]
 
 
-def test_flat_noshort_solve_factors_c_only_when_flat_directions_is_read(monkeypatch):
-    n, t = 40, 10
-    c = CovMatrix.from_returns(_panel(n, t))
+def test_noshort_solve_never_factors_c(monkeypatch):
     calls = []
     factor = qp._factor
 
@@ -145,18 +170,27 @@ def test_flat_noshort_solve_factors_c_only_when_flat_directions_is_read(monkeypa
         return factor(m)
 
     monkeypatch.setattr(qp, "_factor", counted)
-    res = min_variance_noshort(c, float(n))
-    assert res.degenerate and calls == []
-    assert res.flat_directions == res.flat_directions == n - t
-    assert len(calls) == 1
-    assert res.flat_directions == n - c.rank
+    for n, t in ((40, 10), (40, 80)):  # flat and full rank
+        res = min_variance_noshort(CovMatrix.from_returns(_panel(n, t)), float(n))
+        assert res.degenerate == (t < n)
+    assert calls == []
+
+
+def test_degenerate_results_do_not_keep_the_covariance():
+    for solve, n, t in ((min_variance_noshort, 40, 10), (brute_force_noshort, 6, 2)):
+        c = CovMatrix.from_returns(_panel(n, t))
+        held = weakref.ref(c)
+        res = solve(c, float(n))
+        del c
+        assert res.degenerate
+        assert held() is None
 
 
 def _same_result(a, b):
     return a.weights.tobytes() == b.weights.tobytes() and all(
         getattr(a, k) == getattr(b, k)
-        for k in ("objective", "active_set", "degenerate", "flat_directions",
-                  "constraint", "lam", "iterations")
+        for k in ("objective", "active_set", "degenerate", "constraint", "lam",
+                  "iterations")
     )
 
 
@@ -178,16 +212,16 @@ def test_repeated_solves_are_bit_identical(solve, n, t):
 
 
 def test_equality_identity_spec_example():
-    c = CovMatrix.from_matrix(np.eye(4))
+    c = CovMatrix(np.eye(4))
     res = min_variance_equality(c, 4.0)
     assert np.allclose(res.weights, 1.0, rtol=0, atol=1e-14)
     assert res.objective == pytest.approx(4.0, rel=1e-14)
     assert not res.degenerate
-    assert res.flat_directions == 0
+    assert c.rank == 4
 
 
 def test_equality_diagonal_spec_example():
-    c = CovMatrix.from_matrix(np.diag([1.0, 4.0]))
+    c = CovMatrix(np.diag([1.0, 4.0]))
     res = min_variance_equality(c, 2.0)
     assert res.weights == pytest.approx([1.6, 0.4], rel=1e-14)
     assert res.objective == pytest.approx(1.6**2 + 4 * 0.4**2, rel=1e-14)
@@ -196,7 +230,7 @@ def test_equality_diagonal_spec_example():
 
 def test_equality_matches_replica_true_optimum():
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
-    c = CovMatrix.from_matrix(np.diag(np.asarray(uni.sigmas) ** 2))
+    c = CovMatrix(np.diag(np.asarray(uni.sigmas) ** 2))
     res = min_variance_equality(c, float(uni.n))
     opt = true_optimum(uni)
     assert res.weights == pytest.approx(list(opt.weights), rel=1e-13)
@@ -210,7 +244,7 @@ def test_equality_undersampled_is_degenerate():
     res = min_variance_equality(c, float(n))
     assert res.degenerate
     assert res.objective < 1e-10 * np.trace(c.matrix)
-    assert res.flat_directions >= n - t
+    assert c.rank <= t
     assert sum(res.weights) == pytest.approx(n, abs=1e-10)
 
 
@@ -220,7 +254,7 @@ def test_equality_nullspace_orthogonal_to_budget():
     # The zero-variance degeneracy flag must NOT fire (objective > 0); the
     # solver falls back to the positive-spectrum minimum-norm point.
     n = 3
-    c = CovMatrix.from_matrix(np.ones((n, n)))
+    c = CovMatrix(np.ones((n, n)))
     res = min_variance_equality(c, 3.0)
     assert not res.degenerate
     assert res.objective == pytest.approx(9.0, rel=1e-12)
@@ -232,7 +266,7 @@ def test_equality_general_full_rank_against_direct_formula():
     rng = np.random.default_rng(2)
     for _ in range(50):
         n = rng.integers(2, 9)
-        c = CovMatrix.from_matrix(rand_psd(rng, n) + 0.1 * np.eye(n))
+        c = CovMatrix(rand_psd(rng, n) + 0.1 * np.eye(n))
         b = float(rng.uniform(0.5, 5.0))
         res = min_variance_equality(c, b)
         inv1 = np.linalg.solve(c.matrix, np.ones(n))
@@ -246,7 +280,7 @@ def _eigh_equality(c, b):
 
     Rank counts eigenvalues above RANK_RTOL * max eigenvalue; z, the part of
     1 in the null space, counts as zero at |z|^2 <= FLAT_RTOL * N, as in the
-    solver. Returns (weights, rank, degenerate, flat_directions, lam).
+    solver. Returns (weights, rank, degenerate, lam).
     """
     n = c.n
     vals, vecs = np.linalg.eigh(c.matrix)
@@ -268,20 +302,19 @@ def _eigh_equality(c, b):
         v0 = v0 - vecs[:, keep] @ ((vecs[:, keep].T @ cv) / vals[keep][:, None])
         z = v0 @ (v0.T @ ones)
         if float(z @ z) > FLAT_RTOL * n:
-            return (b / float(np.sum(z))) * z, rank, True, n - rank, 0.0
+            return (b / float(np.sum(z))) * z, rank, True, 0.0
     y = np.where(keep, a / np.where(keep, vals, 1.0), 0.0)
     s = float(a[keep] @ y[keep])
     w = (b / s) * (vecs @ y)
-    degen = max(float(w @ c.matrix @ w), 0.0) < c.tol_zero
-    return w, rank, degen, (n - rank) if degen else 0, 2.0 * b / s
+    degen = max(float(w @ c.matrix @ w), 0.0) <= c.tol_zero
+    return w, rank, degen, 2.0 * b / s
 
 
 def _check_equality_against_oracle(c, b):
-    w_ref, rank, degen, flat, lam = _eigh_equality(c, b)
+    w_ref, rank, degen, lam = _eigh_equality(c, b)
     res = min_variance_equality(c, b)
     assert c.rank == rank
     assert res.degenerate == degen
-    assert res.flat_directions == flat
     # A flat point b z / 1'z with a small z is ill-conditioned: rounding of
     # order eps in C or z moves it by about eps / |z| relative, and its
     # weights grow like b / |z|. So the weight tolerance grows with
@@ -330,14 +363,15 @@ def test_equality_matches_eigh_oracle_on_panels(n, t, seed, duplicate, sigma_spr
     assume(np.all((vals < 1e-13 * top) | (vals > 1e-6 * top)))
     _check_equality_against_oracle(c, budget)
     res = min_variance_noshort(c, budget)
-    assert res.flat_directions == ((n - c.rank) if res.degenerate else 0)
+    # a zero-variance optimum on a nonzero budget needs a singular C
+    assert not res.degenerate or budget == 0.0 or c.rank < n
 
 
 @pytest.mark.parametrize("budget", [3.0, 0.0])
 def test_equality_all_ones_corner_matches_oracle(budget):
     # The budget direction spans the whole range of C, so the null space
     # is orthogonal to it and the pseudo-inverse branch runs.
-    c = CovMatrix.from_matrix(np.ones((3, 3)))
+    c = CovMatrix(np.ones((3, 3)))
     assert c.rank == 1
     _check_equality_against_oracle(c, budget)
 
@@ -354,7 +388,7 @@ def test_equality_n400_kkt_flat_directions_and_oracle(r):
         res = _check_equality_against_oracle(c, float(n))
         assert res.degenerate == (t < n)
         if t < n:
-            assert res.flat_directions == n - t
+            assert c.rank == t
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +397,7 @@ def test_equality_n400_kkt_flat_directions_and_oracle(r):
 
 
 def test_noshort_interior_spec_example():
-    c = CovMatrix.from_matrix(np.diag([1.0, 4.0]))
+    c = CovMatrix(np.diag([1.0, 4.0]))
     res = min_variance_noshort(c, 2.0)
     assert res.weights == pytest.approx([1.6, 0.4], rel=1e-13)
     assert res.active_set == ()
@@ -371,7 +405,7 @@ def test_noshort_interior_spec_example():
 
 
 def test_noshort_identity_spec_example():
-    c = CovMatrix.from_matrix(np.eye(5))
+    c = CovMatrix(np.eye(5))
     res = min_variance_noshort(c, 5.0)
     assert np.allclose(res.weights, 1.0, atol=1e-13)
     assert res.active_set == ()
@@ -389,7 +423,7 @@ def test_noshort_negative_correlation_binds():
             [0.0, 0.0, 1.0],
         ]
     )
-    c = CovMatrix.from_matrix(m)
+    c = CovMatrix(m)
     eq = min_variance_equality(c, 3.0)
     assert min(eq.weights) < 0  # the premise of the example
     res = min_variance_noshort(c, 3.0)
@@ -405,7 +439,7 @@ def test_noshort_diagonal_never_eliminates():
     rng = np.random.default_rng(3)
     for _ in range(20):
         d = rng.uniform(0.2, 5.0, size=6)
-        c = CovMatrix.from_matrix(np.diag(d))
+        c = CovMatrix(np.diag(d))
         res = brute_force_noshort(c, 6.0)
         assert res.active_set == ()
         assert min(res.weights) > 0
@@ -416,7 +450,7 @@ def test_noshort_random_instances_match_brute_force():
     for k in range(200):
         n = int(rng.integers(2, 9))
         rank = int(rng.integers(1, n + 1)) if k % 3 == 0 else n
-        c = CovMatrix.from_matrix(rand_psd(rng, n, rank))
+        c = CovMatrix(rand_psd(rng, n, rank))
         b = float(rng.uniform(0.5, 3.0))
         res = min_variance_noshort(c, b)
         ref = brute_force_noshort(c, b)
@@ -431,13 +465,13 @@ def test_noshort_rank1_flat_case():
     # plane intersects the null space, so zero in-sample variance is
     # attainable with non-negative weights.
     v = np.array([1.0, -1.0, 0.0])
-    c = CovMatrix.from_matrix(np.outer(v, v))
+    c = CovMatrix(np.outer(v, v))
     res = min_variance_noshort(c, 3.0)
     assert res.degenerate
     assert res.objective < c.tol_zero
     ref = brute_force_noshort(c, 3.0)
     assert ref.objective == pytest.approx(0.0, abs=1e-12)
-    assert res.flat_directions == 2
+    assert c.rank == 1
     assert kkt_residual(c, res, 3.0) < 1e-8
 
 
@@ -445,7 +479,7 @@ def test_noshort_objective_dominates_equality():
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        c = CovMatrix.from_matrix(rand_psd(rng, n))
+        c = CovMatrix(rand_psd(rng, n))
         b = float(rng.uniform(0.5, 3.0))
         eq = min_variance_equality(c, b)
         ns = min_variance_noshort(c, b)
@@ -457,8 +491,8 @@ def test_permutation_equivariance():
     n = 6
     m = rand_psd(rng, n) + 0.05 * np.eye(n)
     perm = rng.permutation(n)
-    c = CovMatrix.from_matrix(m)
-    cp = CovMatrix.from_matrix(m[np.ix_(perm, perm)])
+    c = CovMatrix(m)
+    cp = CovMatrix(m[np.ix_(perm, perm)])
     res = min_variance_noshort(c, 2.0)
     resp = min_variance_noshort(cp, 2.0)
     assert np.allclose(np.asarray(res.weights)[perm], resp.weights, atol=1e-10)
@@ -468,8 +502,8 @@ def test_permutation_equivariance():
 def test_scaling_properties():
     rng = np.random.default_rng(7)
     m = rand_psd(rng, 5) + 0.05 * np.eye(5)
-    c = CovMatrix.from_matrix(m)
-    cs = CovMatrix.from_matrix(7.0 * m)
+    c = CovMatrix(m)
+    cs = CovMatrix(7.0 * m)
     res = min_variance_noshort(c, 2.0)
     ress = min_variance_noshort(cs, 2.0)
     assert np.allclose(ress.weights, res.weights, atol=1e-11)
@@ -481,7 +515,7 @@ def test_scaling_properties():
 
 
 def test_kkt_residual_detects_perturbation():
-    c = CovMatrix.from_matrix(np.diag([1.0, 4.0, 2.0]))
+    c = CovMatrix(np.diag([1.0, 4.0, 2.0]))
     res = min_variance_noshort(c, 3.0)
     assert kkt_residual(c, res, 3.0) < 1e-8
     import dataclasses
@@ -525,7 +559,7 @@ def test_noshort_matches_brute_force_on_panels(n, t, seed, duplicate, sigma_spre
     assert kkt_residual(c, res, budget) <= 1e-8
     assert min(res.weights) >= 0.0
     assert sum(res.weights) == pytest.approx(budget, abs=1e-10 * max(budget, 1.0))
-    assert res.degenerate == (res.objective < c.tol_zero)
+    assert res.degenerate == (res.objective <= c.tol_zero)
 
 
 def test_noshort_near_duplicate_asset_swaps_into_free_set():
@@ -546,7 +580,7 @@ def test_noshort_near_duplicate_asset_swaps_into_free_set():
 
 
 def test_noshort_cap_reports_free_set_and_residual():
-    c = CovMatrix.from_matrix(np.eye(5))
+    c = CovMatrix(np.eye(5))
     assert min_variance_noshort(c, 5.0).iterations == 4  # four adds, no drop
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 5.0, max_iter=2)
@@ -561,7 +595,7 @@ def test_noshort_cap_reports_free_set_and_residual():
 def test_noshort_batch_can_free_every_asset(n):
     # one batch takes every outside asset, the corral ends up holding all N
     # and the next gradient has no candidate left
-    c = CovMatrix.from_matrix(np.diag(np.linspace(1.0, 2.0, n)))
+    c = CovMatrix(np.diag(np.linspace(1.0, 2.0, n)))
     res = min_variance_noshort(c, float(n))
     inv = 1.0 / np.diagonal(c.matrix)
     assert res.active_set == ()
@@ -575,7 +609,7 @@ def test_noshort_batch_skips_near_duplicate_pivot():
     # so both land in the first batch; asset 2 lies (to 1e-13) in the affine
     # hull of {0, 1} and is skipped, not appended on a ~0 pivot
     x = np.array([[1.0, 0.0], [0.0, 1.2], [0.0, 1.2 * (1.0 + 1e-13)]])
-    c = CovMatrix.from_matrix(x @ x.T)
+    c = CovMatrix(x @ x.T)
     res = min_variance_noshort(c, 1.0)
     assert res.iterations == 1  # the add of asset 1 only
     assert res.weights[2] == 0.0
@@ -587,7 +621,7 @@ def test_noshort_batch_skips_near_duplicate_pivot():
 
 def test_noshort_batch_breaks_ties_by_lowest_index():
     # eleven outside assets tie; the batch takes the eight lowest indices
-    c = CovMatrix.from_matrix(np.eye(12))
+    c = CovMatrix(np.eye(12))
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 12.0, max_iter=8)
     assert info.value.iterate == list(range(9))
@@ -596,7 +630,7 @@ def test_noshort_batch_breaks_ties_by_lowest_index():
     d = np.full(12, 2.0)
     d[5] = 1.0
     with pytest.raises(ActiveSetError) as info:
-        min_variance_noshort(CovMatrix.from_matrix(np.diag(d)), 12.0, max_iter=8)
+        min_variance_noshort(CovMatrix(np.diag(d)), 12.0, max_iter=8)
     assert info.value.iterate == [5, 0, 1, 2, 3, 4, 6, 7, 8]
 
 
@@ -608,7 +642,7 @@ def test_noshort_ratio_tie_drops_the_lowest_asset_index():
     # positive weight. Had asset 1 left, 0 would leave next and 1 come back
     # (six steps to the same optimum).
     x = np.array([[3, -2, -2, 3], [1, 3, -3, -3], [1, -3, -2, -1], [3, 3, -1, 2]], float)
-    c = CovMatrix.from_matrix(x @ x.T)
+    c = CovMatrix(x @ x.T)
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 4.0, max_iter=3)
     assert info.value.iterate == [2, 3, 1, 0]
@@ -644,7 +678,7 @@ def test_noshort_batched_adds_match_brute_force(n, t, seed, duplicate, sigma_spr
 
 
 def test_iterations_zero_outside_the_active_set():
-    c = CovMatrix.from_matrix(np.diag([1.0, 4.0, 2.0]))
+    c = CovMatrix(np.diag([1.0, 4.0, 2.0]))
     assert min_variance_equality(c, 3.0).iterations == 0
     assert brute_force_noshort(c, 3.0).iterations == 0
 
@@ -659,14 +693,31 @@ def test_noshort_n400_kkt_and_flat_support(r):
         c = CovMatrix.from_returns(generate_returns(cfg))
         res = min_variance_noshort(c, float(n))
         assert kkt_residual(c, res, float(n)) <= 1e-8
-        assert res.degenerate == (res.objective < c.tol_zero)
+        assert res.degenerate == (res.objective <= c.tol_zero)
         if res.degenerate:
             assert np.count_nonzero(res.weights) <= c.rank + 1
             assert n - len(res.active_set) <= c.rank + 1
 
 
+def test_zero_covariance_is_degenerate():
+    c = CovMatrix(np.zeros((3, 3)))
+    for solve in (min_variance_equality, min_variance_noshort, brute_force_noshort):
+        res = solve(c, 3.0)
+        assert res.objective == 0.0 and res.degenerate
+        assert sum(res.weights) == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "solve", [min_variance_equality, min_variance_noshort, brute_force_noshort]
+)
+def test_solvers_reject_a_non_finite_budget(solve, budget):
+    with pytest.raises(ValueError, match="budget"):
+        solve(CovMatrix(np.eye(3)), budget)
+
+
 def test_brute_force_guards():
     with pytest.raises(ValueError):
-        brute_force_noshort(CovMatrix.from_matrix(np.eye(13)), 1.0)
+        brute_force_noshort(CovMatrix(np.eye(13)), 1.0)
     with pytest.raises(ValueError):
-        brute_force_noshort(CovMatrix.from_matrix(np.eye(3)), -1.0)
+        brute_force_noshort(CovMatrix(np.eye(3)), -1.0)
