@@ -135,11 +135,9 @@ def parse_sigma(spec: str, n: int | None):
             raise UsageError(
                 "lognormal sigma needs mu,s,seed (e.g. lognormal:0.0,0.5,7)"
             ) from None
-        if s < 0:
-            raise UsageError("lognormal spread must be nonnegative")
         try:
             return AssetUniverse.lognormal(mu, s, n or 100, sd), None
-        except ValueError as e:  # a negative seed, or sigmas that are not finite
+        except ValueError as e:  # a negative spread or seed, or sigmas that are not finite
             raise UsageError(f"bad lognormal sigma: {e}") from None
     raise UsageError(f"unknown sigma kind {kind!r}")
 
@@ -361,16 +359,15 @@ def cmd_weights(args) -> int:
     bw = args.bin_width
     if not (bw > 0 and math.isfinite(bw)):
         raise UsageError("bin width must be positive and finite")
+    points = [None] * len(grid)
+    if args.trials > 0:
+        points = sweep(
+            universe, grid, args.trials, constraint=_corner(reg), seed=args.seed,
+            threads=args.threads, keep_weights=True,
+        ).points
     rows = []
-    for r_req in grid:
-        pooled, r_here = None, r_req
-        if args.trials > 0:
-            point = sweep(
-                universe, [r_req], args.trials,
-                constraint=_corner(reg), seed=args.seed,
-                threads=args.threads, keep_weights=True,
-            ).points[0]
-            pooled, r_here = point.weights, point.r
+    for r_req, point in zip(grid, points):
+        pooled, r_here = (None, r_req) if point is None else (point.weights, point.r)
         atom = {"r_requested": r_req, "r": r_here, "kind": "atom", "w_lo": 0.0, "w_hi": 0.0}
         try:
             sol = _solve_point(universe, r_here, reg)
@@ -399,12 +396,8 @@ def cmd_weights(args) -> int:
 
 COMPARE_FIELDS = ["r", "metric", "analytic", "mc_mean", "mc_se", "z", "within_3se"]
 
-# analytic column -> (simulation mean column, simulation SE column)
-_COMPARE_METRICS = {
-    "lambda": ("lambda_hat_mean", "lambda_hat_se"),
-    "q0_tilde": ("q0_tilde_hat_mean", "q0_tilde_hat_se"),
-    "n0": ("zero_fraction_mean", "zero_fraction_se"),
-}
+# analytic column -> simulated observable, reported as <name>_mean and <name>_se
+_COMPARE_METRICS = {"lambda": "lambda_hat", "q0_tilde": "q0_tilde_hat", "n0": "zero_fraction"}
 
 
 def _zscore(diff: float, se: float, ref: float) -> float:
@@ -428,7 +421,8 @@ def cmd_compare(args) -> int:
                 "achieved grid r = N/T)"
             )
         arow = match[0]
-        for metric, (mcol, scol) in _COMPARE_METRICS.items():
+        for metric, name in _COMPARE_METRICS.items():
+            mcol, scol = f"{name}_mean", f"{name}_se"
             if arow.get(metric) is None or srow.get(mcol) is None:
                 continue
             diff = srow[mcol] - arow[metric]

@@ -214,10 +214,11 @@ def sweep(
                 metrics = list(pool.map(run_trial, cfgs))
         else:
             metrics = [run_trial(c) for c in cfgs]
-        lam_m, lam_se = _mean_se(np.array([m.lambda_hat for m in metrics]))
-        q_m, q_se = _mean_se(np.array([m.q0_tilde_hat for m in metrics]))
-        z_m, z_se = _mean_se(np.array([m.zero_fraction for m in metrics]))
-        o_m, o_se = _mean_se(np.array([m.objective for m in metrics]))
+        stats = {}
+        for name in ("lambda_hat", "q0_tilde_hat", "zero_fraction", "objective"):
+            stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se(
+                np.array([getattr(m, name) for m in metrics])
+            )
         p = float(np.mean([m.degenerate for m in metrics]))
         p_se = math.sqrt(p * (1.0 - p) / trials)
         pooled = (
@@ -230,14 +231,7 @@ def sweep(
                 t=t,
                 n=uni.n,
                 trials=trials,
-                lambda_hat_mean=lam_m,
-                lambda_hat_se=lam_se,
-                q0_tilde_hat_mean=q_m,
-                q0_tilde_hat_se=q_se,
-                zero_fraction_mean=z_m,
-                zero_fraction_se=z_se,
-                objective_mean=o_m,
-                objective_se=o_se,
+                **stats,
                 zero_variance_probability=p,
                 zero_variance_se=p_se,
                 weights=pooled,
@@ -277,21 +271,21 @@ def bin_grid(lo: float, hi: float, bin_width: float) -> np.ndarray:
 
 
 def weight_histogram(
-    weights: np.ndarray, bin_width: float = 0.05, zero_tol: float = WEIGHT_ZERO_RTOL,
-    edges: np.ndarray | None = None,
+    weights: np.ndarray, bin_width: float = 0.05, edges: np.ndarray | None = None,
 ) -> Histogram:
     """Histogram pooled weights with the exact-zero atom kept out of the bins.
 
     Bins are multiples of `bin_width` covering the nonzero weights (one bin
     [0, bin_width) when there are none), unless `edges` gives them; weights
-    outside given edges count in no bin.
+    outside given edges count in no bin. The atom holds the weights of size
+    at most WEIGHT_ZERO_RTOL, as `zero_fraction` counts them.
     """
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("no weights to histogram")
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise ValueError("bin width must be positive and finite")
-    at_zero = np.abs(w) <= zero_tol
+    at_zero = np.abs(w) <= WEIGHT_ZERO_RTOL
     atom = float(np.mean(at_zero))
     wc = w[~at_zero]
     if edges is None:

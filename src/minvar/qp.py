@@ -89,7 +89,7 @@ PIVOT_RTOL = 1e-12
 ADD_BATCH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Validated dense symmetric PSD matrix: one read-only N x N array.
 
@@ -100,7 +100,8 @@ class CovMatrix:
     checks its spectrum, since a pivoted Cholesky factor cannot tell an
     indefinite matrix from a PSD one. `from_returns` builds the Gram matrix
     of a return sample, PSD and symmetric by construction, so it skips the
-    spectrum. Both raise CovarianceError on bad input.
+    spectrum. Both raise CovarianceError on bad input. Instances compare
+    and hash by identity, as the array has no single truth value.
     """
 
     matrix: np.ndarray
@@ -180,7 +181,7 @@ class CovMatrix:
         return ZERO_RTOL * float(np.trace(self.matrix)) / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpResult:
     """Solution record of one quadratic program.
 
@@ -193,7 +194,8 @@ class QpResult:
     where rank(C) is `CovMatrix.rank`. `lam` is the budget multiplier at the
     solution. `iterations` counts the no-short solver's active-set steps
     (adds plus drops) and is 0 for the other solvers. The record holds the
-    optimum only, never the covariance.
+    optimum only, never the covariance. Records compare and hash by
+    identity, as `CovMatrix` does.
     """
 
     weights: np.ndarray
@@ -250,7 +252,7 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         raise ValueError("budget must be finite")
     l, piv, rank = _factor(cov.matrix)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
-
+    flat = False
     if rank < n:
         # L = Q S, with Q kept as the reflectors of dgeqrf and applied by
         # dormqr; in pivoted order the null space of C is orthogonal to Q.
@@ -265,25 +267,16 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         a = _reflect(qr, tau, ones, "T")[:rank]
         z = ones - _reflect(qr, tau, a, "N")
         z -= _reflect(qr, tau, _reflect(qr, tau, z, "T")[:rank], "N")
-        if float(z @ z) > FLAT_RTOL * n:
-            w = np.empty(n)
-            w[piv] = (b / float(np.sum(z))) * z
-            obj = max(float(w @ cov.matrix @ w), 0.0)
-            return QpResult(
-                weights=w,
-                objective=obj,
-                active_set=(),
-                degenerate=True,
-                constraint="equality",
-                lam=0.0,
-            )
-        # C^+ 1 = Q S^-T S^-1 Q' 1
-        y = solve_triangular(s_fac, a, check_finite=False)
-        x = _reflect(qr, tau, solve_triangular(s_fac, y, trans=1, check_finite=False), "N")
+        flat = float(z @ z) > FLAT_RTOL * n
+        if not flat:
+            # C^+ 1 = Q S^-T S^-1 Q' 1
+            y = solve_triangular(s_fac, a, check_finite=False)
+            x = _reflect(qr, tau, solve_triangular(s_fac, y, trans=1, check_finite=False), "N")
     else:
         y = solve_triangular(l, ones, lower=True, check_finite=False)
         x = solve_triangular(l, y, lower=True, trans=1, check_finite=False)
-    s = float(y @ y)
+    # w = b x / s: the flat point b z / 1'z, or b C^+ 1 / 1'C^+ 1 with 1'C^+ 1 = y'y
+    x, s = (z, float(np.sum(z))) if flat else (x, float(y @ y))
     w = np.empty(n)
     w[piv] = (b / s) * x
     obj = max(float(w @ cov.matrix @ w), 0.0)
@@ -291,9 +284,9 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         weights=w,
         objective=obj,
         active_set=(),
-        degenerate=obj <= cov.tol_zero,
+        degenerate=flat or obj <= cov.tol_zero,
         constraint="equality",
-        lam=2.0 * b / s,
+        lam=0.0 if flat else 2.0 * b / s,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from minvar import NoConvergenceError, unconstrained_solution, noshort_solution
-from minvar import AssetUniverse
+from minvar import AssetUniverse, sweep, weight_histogram
 from minvar.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -343,6 +343,32 @@ def test_weights_with_trials_populates_mc(tmp_path):
     assert atom["r"] == 12 / round(12 / 1.5)
 
 
+def test_weights_ratios_draw_their_own_streams(tmp_path):
+    # one sweep over the whole grid, as in `simulate`: a repeated ratio gets
+    # fresh trial indices, and each ratio's MC column is the histogram of
+    # that grid point's pooled weights on the table's own edges
+    out = tmp_path / "wrep.csv"
+    code = run_cli(
+        "weights", "--r-grid", "0.5,0.5", "--n", "10", "--trials", "5",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    _, rows = read_table(str(out))
+    starts = [i for i, row in enumerate(rows) if row["kind"] == "atom"]
+    assert len(starts) == 2
+    blocks = [rows[starts[0]:starts[1]], rows[starts[1]:]]
+    assert [row["mc_mass"] for row in blocks[0]] != [row["mc_mass"] for row in blocks[1]]
+    points = sweep(
+        AssetUniverse.constant(1.0, 10), [0.5, 0.5], 5, constraint="noshort", seed=1,
+        keep_weights=True,
+    ).points
+    for block, point in zip(blocks, points):
+        edges = np.array([row["w_lo"] for row in block[1:]] + [block[-1]["w_hi"]])
+        hist = weight_histogram(point.weights, edges=edges)
+        assert block[0]["mc_mass"] == hist.atom
+        assert [row["mc_mass"] for row in block[1:]] == hist.masses.tolist()
+
+
 def test_weights_monte_carlo_uses_the_law_corner(tmp_path):
     # --eta2 inf bans short positions whatever --constraint says, so the
     # Monte Carlo next to the no-short atom must run the no-short optimizer
@@ -515,6 +541,25 @@ def test_malformed_values_are_usage_errors(argv, tmp_path, capsys):
     assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ("file:1.0\nx\n", "sigma file must hold one decimal per line"),
+        ("file:# no sigmas\n\n", "sigma file is empty"),
+        ("file:1.0\n-2.0\n", "sigmas must be positive and finite"),
+        ("lognormal:0,-0.5,7", "lognormal spread must be nonnegative"),
+    ],
+)
+def test_bad_sigmas_are_usage_errors(sigma, message, tmp_path, capsys):
+    kind, _, text = sigma.partition(":")
+    if kind == "file":  # the rest of the spec is the file's content
+        p = tmp_path / "sig.txt"
+        p.write_text(text)
+        sigma = f"file:{p}"
+    assert run_cli("replica", "--r-grid", "0.5", "--sigma", sigma) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -115,6 +115,14 @@ def test_constructor_keeps_one_c_ordered_symmetrised_copy():
     assert CovMatrix([[1e308]]).matrix[0, 0] == 1e308
 
 
+def test_covariances_and_results_compare_and_hash_by_identity():
+    a, b = CovMatrix(np.eye(2)), CovMatrix(np.eye(2))
+    r1, r2 = min_variance_equality(a), min_variance_equality(a)
+    assert (a == b) is False and (a == a) is True
+    assert (r1 == r2) is False and (r1 == r1) is True
+    assert len({a, b, r1, r2}) == 4
+
+
 def test_from_returns_owns_a_readonly_matrix():
     x = np.random.default_rng(4).standard_normal((6, 9))
     c = CovMatrix.from_returns(x)
@@ -577,6 +585,38 @@ def test_noshort_near_duplicate_asset_swaps_into_free_set():
         assert res.objective == pytest.approx(ref.objective, abs=1e-14)
         assert kkt_residual(c, res, 1.0) <= 1e-12
         assert res.weights[-1] > 0.0
+
+
+@pytest.mark.parametrize("seed", [2, 3, 11])
+def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
+    # asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6; when its
+    # twin is in the corral, its pivot is ~0 and it swaps weight with a
+    # member. A swap solves with the column the pivot has just returned.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 6))
+    delta = 10 ** rng.uniform(-8, -5.5)
+    x[3] = x[rng.integers(0, 3)] + delta * rng.standard_normal(6)
+    c = CovMatrix.from_returns(x)
+    pivot, solve = qp._Corral.pivot, qp._Corral.solve
+    last, swaps = [None], []
+
+    def traced_pivot(self, j):
+        out = pivot(self, j)
+        last[0] = out[0]
+        return out
+
+    def traced_solve(self, v, trans=0):
+        if v is last[0]:
+            swaps.append(self.k)
+        return solve(self, v, trans)
+
+    monkeypatch.setattr(qp._Corral, "pivot", traced_pivot)
+    monkeypatch.setattr(qp._Corral, "solve", traced_solve)
+    res = min_variance_noshort(c)
+    assert swaps
+    assert kkt_residual(c, res, 4.0) <= 1e-13
+    ref = brute_force_noshort(c)
+    assert res.objective == pytest.approx(ref.objective, abs=1e-14)
 
 
 def test_noshort_cap_reports_free_set_and_residual():

@@ -14,7 +14,9 @@ It writes, through `minvar.cli.main`:
   * one no-short and one equality `simulate` at N = 50;
   * a no-short `simulate` at N = 400 (r = 1, 1.9, 2.5, two trials each),
     whose corrals of a few hundred assets exercise the drops and ratio
-    ties that N = 50 barely reaches.
+    ties that N = 50 barely reaches;
+  * a `weights` table with Monte Carlo bins at N = 50 (r = 0.5, 1.5, 20
+    trials each), so the `mc_mass` column is diffed too.
 
 and prints one `sha256  name` line per table. BLAS is pinned to one thread
 before numpy is loaded, since the no-short Monte Carlo tables hold per BLAS
@@ -39,6 +41,8 @@ TABLES = {
                               "--r-grid", "0.05:1.95:0.1", *SIGMA),
     "weights.csv": ("weights", "--trials", "0", "--bin-width", "0.25",
                     "--r-grid", "0.5,1.9", *SIGMA),
+    "weights-mc.csv": ("weights", "--n", "50", "--trials", "20", "--r-grid", "0.5,1.5",
+                       "--bin-width", "0.25", "--seed", "3"),
     "simulate-noshort-n50.csv": ("simulate", "--constraint", "noshort", "--n", "50",
                                  "--r-grid", "0.5,1.0,1.5,1.9,2.5",
                                  "--trials", "20", "--seed", "3"),
