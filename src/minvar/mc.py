@@ -21,6 +21,7 @@ of thread count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -186,9 +187,10 @@ def sweep(
     The observation count is T = round(N / r) (at least 1) and the achieved
     ratio r = N/T is what each point reports; analytic comparisons should
     be evaluated there. Trial indices are globally unique across the grid,
-    so no stream is reused. With threads > 1 the trials are executed by a
-    thread pool (the linear algebra releases the interpreter lock) and
-    collected in trial order; results are identical for any thread count.
+    so no stream is reused. With threads > 1 the trials are executed by one
+    thread pool for the whole grid (the linear algebra releases the
+    interpreter lock) and collected in trial order, point by point; results
+    are identical for any thread count.
     """
     uni = as_universe(universe)
     if trials < 1:
@@ -197,46 +199,46 @@ def sweep(
     if any(r <= 0 or not math.isfinite(r) for r in grid):
         raise ValueError("ratios must be positive and finite")
     points = []
-    for k, r_req in enumerate(grid):
-        t = max(1, round(uni.n / r_req))
-        cfgs = [
-            TrialConfig(
-                universe=uni,
-                t=t,
-                constraint=constraint,
-                seed=seed,
-                trial_index=k * trials + j,
+    with contextlib.ExitStack() as stack:
+        run = map
+        if threads > 1:  # one pool serves every grid point
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+        for k, r_req in enumerate(grid):
+            t = max(1, round(uni.n / r_req))
+            cfgs = [
+                TrialConfig(
+                    universe=uni,
+                    t=t,
+                    constraint=constraint,
+                    seed=seed,
+                    trial_index=k * trials + j,
+                )
+                for j in range(trials)
+            ]
+            metrics = list(run(run_trial, cfgs))
+            stats = {}
+            for name in ("lambda_hat", "q0_tilde_hat", "zero_fraction", "objective"):
+                stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se(
+                    np.array([getattr(m, name) for m in metrics])
+                )
+            p = float(np.mean([m.degenerate for m in metrics]))
+            p_se = math.sqrt(p * (1.0 - p) / trials)
+            pooled = (
+                np.concatenate([m.weights for m in metrics]) if keep_weights else None
             )
-            for j in range(trials)
-        ]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                metrics = list(pool.map(run_trial, cfgs))
-        else:
-            metrics = [run_trial(c) for c in cfgs]
-        stats = {}
-        for name in ("lambda_hat", "q0_tilde_hat", "zero_fraction", "objective"):
-            stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se(
-                np.array([getattr(m, name) for m in metrics])
+            points.append(
+                PointSummary(
+                    r_requested=r_req,
+                    r=uni.n / t,
+                    t=t,
+                    n=uni.n,
+                    trials=trials,
+                    **stats,
+                    zero_variance_probability=p,
+                    zero_variance_se=p_se,
+                    weights=pooled,
+                )
             )
-        p = float(np.mean([m.degenerate for m in metrics]))
-        p_se = math.sqrt(p * (1.0 - p) / trials)
-        pooled = (
-            np.concatenate([m.weights for m in metrics]) if keep_weights else None
-        )
-        points.append(
-            PointSummary(
-                r_requested=r_req,
-                r=uni.n / t,
-                t=t,
-                n=uni.n,
-                trials=trials,
-                **stats,
-                zero_variance_probability=p,
-                zero_variance_se=p_se,
-                weights=pooled,
-            )
-        )
     return SweepSummary(
         universe=uni, constraint=constraint, seed=seed, trials=trials,
         points=tuple(points),

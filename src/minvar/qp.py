@@ -316,11 +316,18 @@ class _Corral:
     C[j, f] + rho into the spare column and solves it there, so an add
     only writes the pivot below it; a drop borrows the same column for y.
     y holds R'^-1 1, which gives the affine minimizer through one more
-    solve. A drop calls qr_delete's Cython core directly: scipy's wrapper
-    around it broadcasts over batches of matrices, which a drop's single
-    2-D block does not need, and costs 9-11 us of every call, more than
-    the rotations themselves (12.5 -> 1.4 us at k - q = 2, 16.5 -> 7.2 us
-    at 54; 2-vCPU Xeon VM, one BLAS thread).
+    solve. The first asset of a batch goes through `pivot` and `add`, as
+    it may need a swap between them; each later one through `extend`,
+    which pivots, tests the hull and adds.
+
+    A drop calls qr_delete's Cython core directly: scipy's wrapper around
+    it broadcasts over batches of matrices, which a drop's single 2-D block
+    does not need, and costs 9-11 us of every call, more than the rotations
+    themselves (12.5 -> 1.4 us at k - q = 2, 16.5 -> 7.2 us at 54). The
+    core also rotates a throwaway Q, which R's rotations never read; a
+    Fortran-ordered identity makes that cheaper on R's strided block
+    (68.5 -> 46.8 us per call at k - q = 130, 151 -> 98 us at 200, the
+    identity included; 2-vCPU Xeon VM, one BLAS thread).
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):
@@ -372,6 +379,17 @@ class _Corral:
         self.mask[j] = True
         self.k = k + 1
 
+    def extend(self, j: int, count_step) -> None:
+        """Pivot asset j and add it unless it lies in the corral's affine hull.
+
+        count_step() runs just before the add, so an asset in the hull is
+        skipped without a step.
+        """
+        _, d2, mjj = self.pivot(j)
+        if d2 > PIVOT_RTOL * mjj:
+            count_step()
+            self.add(j, d2)
+
     def drop(self, q: int) -> None:
         """Remove the member at factor position q, in O(k (k - q))."""
         k, r = self.k, self.r
@@ -384,7 +402,7 @@ class _Corral:
         # orthogonal map of the rows. The rows above q only shift.
         r[q:k, k] = self.y[q:k]
         _qr_delete(
-            np.eye(k - q), r[q:k, q : k + 1], 0, which="col",
+            np.eye(k - q, order="F"), r[q:k, q : k + 1], 0, which="col",
             overwrite_qr=True, check_finite=False,
         )
         r[:q, q : k - 1] = r[:q, q + 1 : k]
@@ -461,7 +479,8 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             residual=(mu_min, gap),
         )
 
-    def count_step(mu_min: float) -> None:
+    def count_step() -> None:
+        """Count one add or drop; the failure reports the batch's first multiplier."""
         nonlocal steps
         if steps >= cap:
             raise failure(f"active-set cap {cap} reached", mu_min)
@@ -470,14 +489,15 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     while True:
         g = cm @ w
         lam = 2.0 * float(w @ g) / b if b > 0 else 0.0
-        mu = 2.0 * g - lam
+        mu = 2.0 * g
+        mu -= lam
         mu[corral.mask] = np.inf
         batch = _improving(mu, tol_mu)
         if batch.size == 0:
             break
         j = int(batch[0])
         mu_min = float(mu[j])
-        count_step(mu_min)
+        count_step()
         l, d2, mjj = corral.pivot(j)
         if d2 <= PIVOT_RTOL * mjj:
             # j lies (numerically) in the corral's affine hull, x_j = X_f c
@@ -491,7 +511,7 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             w[f] = np.maximum(w[f] - t * coef, 0.0)
             w[f[q]] = 0.0
             w[j] = t
-            count_step(mu_min)
+            count_step()
             corral.drop(q)
             l, d2, mjj = corral.pivot(j)
             if not d2 > 0.0:
@@ -500,21 +520,18 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         # a swap moves w along a null direction of C (to the pivot
         # tolerance), so the rest of the batch keeps its multipliers; a later
         # candidate in the corral's affine hull is skipped, not swapped
-        for j in batch[1:]:
-            _, d2, mjj = corral.pivot(int(j))
-            if d2 > PIVOT_RTOL * mjj:
-                count_step(mu_min)
-                corral.add(int(j), d2)
+        for j in batch[1:].tolist():
+            corral.extend(j, count_step)
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members
-            if v.min() >= -tol_w:
+            pos = np.flatnonzero(v < -tol_w)
+            if pos.size == 0:
                 w[f] = np.maximum(v, 0.0)
                 break
-            count_step(mu_min)
+            count_step()
             # minimum-ratio step toward the affine minimizer
             w_f = w[f]
-            pos = np.flatnonzero(v < -tol_w)
             q, t = _first_blocking(pos, w_f[pos] / (w_f[pos] - v[pos]), f)
             alpha = min(max(t, 0.0), 1.0)
             w[f] = w_f + alpha * (v - w_f)

@@ -20,6 +20,7 @@ from minvar.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_USAGE,
+    PHASE_FIELDS,
     UsageError,
     main,
     parse_r_grid,
@@ -598,6 +599,40 @@ def test_solver_failure_names_the_trial(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trial 0 (r = 0.5, T = 16, seed 4)" in err
     assert "active-set cap 2 reached" in err
+
+
+def test_one_process_serves_many_calls(tmp_path, capsys):
+    # main keeps one parser per process. After a call refused on its
+    # arguments, each table of a sequence of calls in this process equals
+    # the one its call writes as the first call of a fresh process, and a
+    # phase after a simulate keeps its own columns and constraint
+    calls = {
+        "simulate": ["simulate", "--constraint", "equality", "--r-grid", "0.5,1.5",
+                     "--n", "10", "--trials", "4", "--seed", "2"],
+        "phase": ["phase", "--r-grid", "1.5,2.5", "--n", "10", "--trials", "6",
+                  "--seed", "2"],
+        "replica": ["replica", "--r-grid", "0.5,1.9", "--n", "20"],
+        "weights": ["weights", "--r-grid", "1.5", "--n", "10", "--trials", "3",
+                    "--bin-width", "0.25"],
+    }
+    first = {}
+    for name, argv in calls.items():
+        out = tmp_path / f"first-{name}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "minvar", *argv, "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first[name] = out.read_bytes()
+    assert run_cli("simulate", "--r-grid", "0.5", "--trials", "0") == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+    for i, name in enumerate(["simulate", "phase", "replica", "weights", "simulate"]):
+        out = tmp_path / f"{i}-{name}.csv"
+        assert run_cli(*calls[name], "--out", str(out)) == EXIT_OK
+        assert out.read_bytes() == first[name], name
+    spec, rows = read_table(str(tmp_path / "1-phase.csv"))
+    assert spec["constraint"] == "noshort"
+    assert list(rows[0]) == PHASE_FIELDS
 
 
 def test_subprocess_entry_points(tmp_path):

@@ -570,33 +570,12 @@ def test_noshort_matches_brute_force_on_panels(n, t, seed, duplicate, sigma_spre
     assert res.degenerate == (res.objective <= c.tol_zero)
 
 
-def test_noshort_near_duplicate_asset_swaps_into_free_set():
-    # The last asset is a copy of the heaviest one shrunk by 1e-7: it is
-    # strictly better but numerically inside the free set's affine hull, so
-    # its Cholesky pivot is ~0 and it has to replace its twin, not join it.
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((6, 10))
-        heavy = int(np.argmax(brute_force_noshort(CovMatrix.from_returns(x), 1.0).weights))
-        x = np.vstack([np.delete(x, heavy, axis=0), (1.0 - 1e-7) * x[heavy]])
-        c = CovMatrix.from_returns(x)
-        res = min_variance_noshort(c, 1.0)
-        ref = brute_force_noshort(c, 1.0)
-        assert res.objective == pytest.approx(ref.objective, abs=1e-14)
-        assert kkt_residual(c, res, 1.0) <= 1e-12
-        assert res.weights[-1] > 0.0
+def _trace_swaps(monkeypatch) -> list[int]:
+    """Corral sizes at which a hull swap ran, appended as the solver runs.
 
-
-@pytest.mark.parametrize("seed", [2, 3, 11])
-def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
-    # asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6; when its
-    # twin is in the corral, its pivot is ~0 and it swaps weight with a
-    # member. A swap solves with the column the pivot has just returned.
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 6))
-    delta = 10 ** rng.uniform(-8, -5.5)
-    x[3] = x[rng.integers(0, 3)] + delta * rng.standard_normal(6)
-    c = CovMatrix.from_returns(x)
+    A swap, and nothing else, solves with the column the pivot has just
+    returned.
+    """
     pivot, solve = qp._Corral.pivot, qp._Corral.solve
     last, swaps = [None], []
 
@@ -612,6 +591,44 @@ def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
 
     monkeypatch.setattr(qp._Corral, "pivot", traced_pivot)
     monkeypatch.setattr(qp._Corral, "solve", traced_solve)
+    return swaps
+
+
+def test_noshort_near_duplicate_asset_swaps_into_free_set(monkeypatch):
+    # The last asset is a copy of the heaviest one shrunk by 1e-7: it is
+    # strictly better but numerically inside the affine hull of any corral
+    # that holds its twin, so its Cholesky pivot is ~0. When the twin is in
+    # the corral first, the copy has to replace it, not join it; on other
+    # seeds the copy enters first and the twin never does.
+    swaps = _trace_swaps(monkeypatch)
+    swapped = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 10))
+        heavy = int(np.argmax(brute_force_noshort(CovMatrix.from_returns(x), 1.0).weights))
+        c = CovMatrix.from_returns(np.vstack([x, (1.0 - 1e-7) * x[heavy]]))
+        del swaps[:]
+        res = min_variance_noshort(c, 1.0)
+        swapped += [seed] if swaps else []
+        ref = brute_force_noshort(c, 1.0)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-14)
+        assert kkt_residual(c, res, 1.0) <= 1e-12
+        assert res.weights[-1] > 0.0
+        assert res.weights[heavy] == 0.0
+    assert swapped
+
+
+@pytest.mark.parametrize("seed", [2, 3, 11])
+def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
+    # asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6; when its
+    # twin is in the corral, its pivot is ~0 and it swaps weight with a
+    # member
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 6))
+    delta = 10 ** rng.uniform(-8, -5.5)
+    x[3] = x[rng.integers(0, 3)] + delta * rng.standard_normal(6)
+    c = CovMatrix.from_returns(x)
+    swaps = _trace_swaps(monkeypatch)
     res = min_variance_noshort(c)
     assert swaps
     assert kkt_residual(c, res, 4.0) <= 1e-13
@@ -653,6 +670,29 @@ def test_noshort_batch_skips_near_duplicate_pivot():
     res = min_variance_noshort(c, 1.0)
     assert res.iterations == 1  # the add of asset 1 only
     assert res.weights[2] == 0.0
+    assert res.active_set == (2,)
+    ref = brute_force_noshort(c, 1.0)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert kkt_residual(c, res, 1.0) <= 1e-12
+
+
+def test_noshort_cap_counts_only_the_batch_members_it_adds():
+    # at the start assets 1, 2 and 3 tie and form one batch, in that order;
+    # asset 2 lies (to 1e-13) in the affine hull of {0, 1}. The add of 1
+    # reaches a cap of one step, 2 is then skipped without a step, so
+    # without asset 3 the solve ends at the cap with no error; with it, the
+    # cap stops the solve before 3 is added
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 1.2 * (1.0 + 1e-13), 0.0]])
+    res = min_variance_noshort(CovMatrix(x @ x.T), 1.0, max_iter=1)
+    assert res.iterations == 1
+    assert res.active_set == (2,)
+    x = np.vstack([x, [0.0, 0.0, 1.3]])
+    c = CovMatrix(x @ x.T)
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(c, 1.0, max_iter=1)
+    assert info.value.iterate == [0, 1]
+    res = min_variance_noshort(c, 1.0, max_iter=2)
+    assert res.iterations == 2
     assert res.active_set == (2,)
     ref = brute_force_noshort(c, 1.0)
     assert res.objective == pytest.approx(ref.objective, rel=1e-12)

@@ -16,7 +16,10 @@ It writes, through `minvar.cli.main`:
     whose corrals of a few hundred assets exercise the drops and ratio
     ties that N = 50 barely reaches;
   * a `weights` table with Monte Carlo bins at N = 50 (r = 0.5, 1.5, 20
-    trials each), so the `mc_mass` column is diffed too.
+    trials each), so the `mc_mass` column is diffed too;
+  * a `phase` table at N = 50 (r = 1.5, 1.9, 2.5, 20 trials each), written
+    after the `simulate` tables by the same parser, so its subparser
+    defaults (the no-short constraint, the phase columns) are diffed too.
 
 and prints one `sha256  name` line per table. BLAS is pinned to one thread
 before numpy is loaded, since the no-short Monte Carlo tables hold per BLAS
@@ -51,6 +54,8 @@ TABLES = {
     "simulate-equality-n50.csv": ("simulate", "--constraint", "equality", "--n", "50",
                                   "--r-grid", "0.5,0.9,1.5", "--trials", "20",
                                   "--seed", "3"),
+    "phase-n50.csv": ("phase", "--n", "50", "--r-grid", "1.5,1.9,2.5", "--trials", "20",
+                      "--seed", "3"),
 }
 
 
