@@ -40,13 +40,7 @@ from .errors import (
     PhaseBoundaryError,
 )
 from .mc import WEIGHT_ZERO_RTOL, bin_grid, sweep, weight_histogram
-from .theory import (
-    AssetUniverse,
-    RegularizerParams,
-    general_l1_solve,
-    noshort_solution,
-    unconstrained_solution,
-)
+from .theory import AssetUniverse, RegularizerParams, general_l1_solve
 from .weights import build_mixture
 
 EXIT_OK = 0
@@ -265,15 +259,6 @@ def _corner(reg: RegularizerParams) -> str | None:
     return None
 
 
-def _solve_point(universe, r: float, reg: RegularizerParams):
-    corner = _corner(reg)
-    if corner == "equality":
-        return unconstrained_solution(universe, r)
-    if corner == "noshort":
-        return noshort_solution(universe, r)
-    return general_l1_solve(universe, r, reg)
-
-
 # replica column -> ReplicaSolution attribute
 _REPLICA_COLUMNS = {
     "lambda": "lam", "delta": "delta", "q0": "q0", "q0_tilde": "q0_tilde",
@@ -288,7 +273,7 @@ def cmd_replica(args) -> int:
     rows = []
     for r in grid:
         try:
-            sol = _solve_point(universe, r, reg)
+            sol = general_l1_solve(universe, r, reg)
         except PhaseBoundaryError:
             rows.append({"r": r, "status": "critical-boundary"})
             continue
@@ -370,7 +355,7 @@ def cmd_weights(args) -> int:
         pooled, r_here = (None, r_req) if point is None else (point.weights, point.r)
         atom = {"r_requested": r_req, "r": r_here, "kind": "atom", "w_lo": 0.0, "w_hi": 0.0}
         try:
-            sol = _solve_point(universe, r_here, reg)
+            sol = general_l1_solve(universe, r_here, reg)
         except PhaseBoundaryError:
             rows.append({**atom, "status": "critical-boundary"})
             continue

@@ -316,9 +316,8 @@ class _Corral:
     C[j, f] + rho into the spare column and solves it there, so an add
     only writes the pivot below it; a drop borrows the same column for y.
     y holds R'^-1 1, which gives the affine minimizer through one more
-    solve. The first asset of a batch goes through `pivot` and `add`, as
-    it may need a swap between them; each later one through `extend`,
-    which pivots, tests the hull and adds.
+    solve. Each asset of a batch goes through `pivot` and then `add`; one in
+    the affine hull is swapped in first if it leads the batch, else skipped.
 
     A drop calls qr_delete's Cython core directly: scipy's wrapper around
     it broadcasts over batches of matrices, which a drop's single 2-D block
@@ -378,17 +377,6 @@ class _Corral:
         self.idx[k] = j
         self.mask[j] = True
         self.k = k + 1
-
-    def extend(self, j: int, count_step) -> None:
-        """Pivot asset j and add it unless it lies in the corral's affine hull.
-
-        count_step() runs just before the add, so an asset in the hull is
-        skipped without a step.
-        """
-        _, d2, mjj = self.pivot(j)
-        if d2 > PIVOT_RTOL * mjj:
-            count_step()
-            self.add(j, d2)
 
     def drop(self, q: int) -> None:
         """Remove the member at factor position q, in O(k (k - q))."""
@@ -495,33 +483,34 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         batch = _improving(mu, tol_mu)
         if batch.size == 0:
             break
-        j = int(batch[0])
-        mu_min = float(mu[j])
-        count_step()
-        l, d2, mjj = corral.pivot(j)
-        if d2 <= PIVOT_RTOL * mjj:
-            # j lies (numerically) in the corral's affine hull, x_j = X_f c
-            # with sum(c) = 1: move weight onto j along the objective-neutral
-            # direction e_j - c and drop the member that empties first, whose
-            # coefficient is clear of rounding, so j pivots on a nonzero
-            f = corral.members
-            coef = corral.solve(l)  # M^-1 m_j, before the drop reuses l's column
-            pos = np.flatnonzero(coef > 1e-9)
-            q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
-            w[f] = np.maximum(w[f] - t * coef, 0.0)
-            w[f[q]] = 0.0
-            w[j] = t
-            count_step()
-            corral.drop(q)
+        mu_min = float(mu[batch[0]])
+        for i, j in enumerate(batch.tolist()):
             l, d2, mjj = corral.pivot(j)
-            if not d2 > 0.0:
-                raise failure(f"asset {j} stays affinely dependent", mu_min)
-        corral.add(j, d2)
-        # a swap moves w along a null direction of C (to the pivot
-        # tolerance), so the rest of the batch keeps its multipliers; a later
-        # candidate in the corral's affine hull is skipped, not swapped
-        for j in batch[1:].tolist():
-            corral.extend(j, count_step)
+            if d2 <= PIVOT_RTOL * mjj:
+                if i > 0:
+                    # the swap below moves w along a null direction of C (to
+                    # the pivot tolerance), so the rest of the batch keeps its
+                    # multipliers; a later member in the corral's affine hull
+                    # is skipped, not swapped
+                    continue
+                # j lies (numerically) in the corral's affine hull, x_j = X_f c
+                # with sum(c) = 1: move weight onto j along the objective-neutral
+                # direction e_j - c and drop the member that empties first, whose
+                # coefficient is clear of rounding, so j pivots on a nonzero
+                f = corral.members
+                coef = corral.solve(l)  # M^-1 m_j, before the drop reuses l's column
+                pos = np.flatnonzero(coef > 1e-9)
+                q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
+                w[f] = np.maximum(w[f] - t * coef, 0.0)
+                w[f[q]] = 0.0
+                w[j] = t
+                count_step()
+                corral.drop(q)
+                l, d2, mjj = corral.pivot(j)
+                if not d2 > 0.0:
+                    raise failure(f"asset {j} stays affinely dependent", mu_min)
+            count_step()
+            corral.add(j, d2)
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members

@@ -17,8 +17,10 @@ The module exposes:
     (`unconstrained_solution`),
   * the short-sale-banned estimator, valid for 0 < r < 2
     (`noshort_lambda`, `noshort_solution`),
-  * a solver for the general asymmetric-penalty system that contains both
-    of the above as corners (`general_l1_solve`),
+  * a solver for the general asymmetric-penalty system that returns both
+    of the above exactly at its corners (`general_l1_solve`): eta = (0, 0)
+    is the closed form, any ban the banned-shorts root shifted by eta1, and
+    a finite eta2 runs Newton with a bracketed fallback,
   * the variational free-energy surface and a finite-difference
     stationarity check (`free_energy_functional`, `stationarity_residual`),
   * closed-form behavior at the critical ratio r = 2
@@ -27,9 +29,9 @@ The module exposes:
 Scalar roots are found by Newton from the right of an increasing convex
 equation (`_newton_right`), which needs no bracket and no tolerance; the
 one non-convex scalar root, in the penalized solver's fallback start, is
-bisected. The penalized solver starts at the banned-shorts root, which is
-exact under any ban. The runtime needs only scipy.special (through `minvar.special`),
-not scipy.optimize.
+bisected. The penalized solver starts at the banned-shorts root. The
+runtime needs only scipy.special (through `minvar.special`), not
+scipy.optimize.
 
 Order parameters follow one convention everywhere: `lam` is the budget
 multiplier (twice the free energy at the relevant corners), `delta` the
@@ -582,7 +584,7 @@ _LOG_U_MIN = 0.5 * math.log(np.finfo(float).tiny)
 
 
 def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolution:
-    """Solve the asymmetric-penalty saddle equations by damped Newton.
+    """Solve the asymmetric-penalty saddle equations.
 
     The five-parameter system reduces to two unknowns, the shifted
     multiplier m = lam - eta1 and the scale u = sqrt(-2*q0_hat):
@@ -590,21 +592,26 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
         2 r * S_W(m, u) = 1
         u r * S_Psi(m, u) = 1 - r * S_Phi(m, u)
 
-    with the averages of `_tail_terms`. Iterating on m rather than lam keeps
-    the positive band edge m/(sigma u) exact where lam lies within a few
-    ulps of a large eta1. The Jacobian is exact, from the derivatives
-    `_tail_terms` forms out of the same cdf and pdf arrays as the residual,
-    so each candidate point costs one cdf and one pdf per band edge. Steps
-    are backtracked to keep m and u positive (every budget-feasible
-    portfolio pays eta1 per unit budget, so lam >= eta1 at the solution)
-    and the residual decreasing. Newton starts at the banned-shorts root
-    (lam_ns, sqrt(lam_ns)) of `noshort_lambda`, which solves both equations
-    under any ban (eta1 only shifts lam); if it stops short of a root pinned
-    to NEWTON_TOL, it runs again from `_bracketed_start`; a pinned or
-    smaller residual wins.
-    Corners reproduce the closed forms: eta = (0, 0) returns
-    `unconstrained_solution` itself, eta = (0, inf) matches
-    `noshort_solution`.
+    with the averages of `_tail_terms`. Each eta takes one route:
+
+      * eta = (0, 0) is the closed form of `unconstrained_solution`, and so
+        is, at r < 1, a penalty whose widest band eta / (sigma u) at that
+        root is at most 1e-13, the bound to which r >= 1 resolves eta;
+      * any ban (eta2 = inf) is the banned-shorts root (lam_ns, sqrt(lam_ns))
+        of `noshort_lambda`, which solves both equations exactly: eta1 only
+        shifts lam, and eta = (0, inf) is `noshort_solution` to the bit;
+      * any other eta runs damped Newton from the banned-shorts root and, if
+        that stops short of a root pinned to NEWTON_TOL, again from
+        `_bracketed_start`; a pinned or smaller residual wins.
+
+    Newton iterates on m rather than lam, which keeps the positive band
+    edge m/(sigma u) exact where lam lies within a few ulps of a large
+    eta1. The Jacobian is exact, from the derivatives `_tail_terms` forms
+    out of the same cdf and pdf arrays as the residual, so each candidate
+    point costs one cdf and one pdf per band edge. Steps are backtracked to
+    keep m and u positive (every budget-feasible portfolio pays eta1 per
+    unit budget, so lam >= eta1 at the solution) and the residual
+    decreasing.
 
     Raises PhaseBoundaryError / CriticalPhaseError off the feasible phase,
     and NoConvergenceError if no start reaches a residual below 1e-10 or,
@@ -626,15 +633,19 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
-    if reg.eta1 == 0.0 and reg.eta2 == 0.0:
-        # the closed form: next to r = 1 Newton from the banned-shorts root
-        # stagnates (6e-5 relative off at 1 - r = 1.1e-12). It raises
-        # PhaseBoundaryError from r = 1 on.
-        return unconstrained_solution(uni, r)
+    if r < 1:
+        # Newton near r = 1 stagnates (6e-5 relative off at 1 - r = 1.1e-12
+        # at eta = 0) or leaves a root the weak band cannot pin
+        lam = (1.0 - r) / (r * uni.mean_inv_var)
+        if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(uni._sig)) * math.sqrt(lam):
+            return _assemble(uni, reg, r, lam, math.sqrt(lam))
+    elif reg.eta1 == 0.0 and reg.eta2 == 0.0:
+        return unconstrained_solution(uni, r)  # raises PhaseBoundaryError
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
-
     lam0 = noshort_lambda(uni, r)
+    if reg.bans_shorts:
+        return _assemble(uni, reg, r, lam0, math.sqrt(lam0))
     x, norm, why = _newton(np.array([lam0, math.sqrt(lam0)]), uni, r, reg)
     if why is not None:
         # Newton stalls against the m = 0 wall, at a spurious root, or where
@@ -697,7 +708,6 @@ def _newton(x, uni, r, reg):
     if norm < norm0:
         # an iterate steps on to rounding, as near r = 1 the order parameters
         # magnify the residual by ~1/|1 - r|; a start within NEWTON_TOL stays
-        # (under a ban it is the exact root)
         nn = float(np.max(np.abs(_saddle_residual(x + step, uni, r, reg)[0])))
         if nn < norm:
             return x + step, nn, None

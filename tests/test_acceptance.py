@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end criteria with stated tolerances.
+"""Acceptance suite: twelve end-to-end criteria with stated tolerances.
 
 Every test prints (and records for the terminal summary) one line
 
@@ -402,5 +402,38 @@ def test_criterion_11_thread_count_determinism(criterion_recorder, tmp_path):
     criterion_recorder(
         f"CRITERION 11: {'PASS' if not fails else 'FAIL'} — simulate with "
         f"threads∈{{1,2,8}} byte-identical ({len(outs[0])} bytes)"
+    )
+    assert not fails, "; ".join(fails)
+
+
+def test_criterion_12_equality_finite_size_risk_law(criterion_recorder):
+    # For Gaussian returns of known zero mean, any sigma and T > N, the
+    # sample minimum-variance portfolio has the exact out-of-sample risk
+    # ratio E[q0_tilde_hat] = (T - 1)/(T - N). At N = 20 the asymptote
+    # 1/(1 - r) sits several standard errors away, so this gate sees the
+    # finite-size term that criterion 7, against the asymptote at N = 100,
+    # leaves inside its 3 SE.
+    t0 = time.perf_counter()
+    fails = []
+    n = 20
+    detail = []
+    for name, uni in (("sigma=1", AssetUniverse.constant(1.0, n)),
+                      ("lognormal", AssetUniverse.lognormal(0.0, 0.5, n, 7))):
+        s = sweep(uni, [n / 25, n / 40], trials=2000, constraint="equality", seed=0)
+        for p in s.points:
+            exact = (p.t - 1) / (p.t - n)
+            z = (p.q0_tilde_hat_mean - exact) / p.q0_tilde_hat_se
+            z_asym = (p.q0_tilde_hat_mean - 1.0 / (1.0 - p.r)) / p.q0_tilde_hat_se
+            detail.append(f"{name} T={p.t}: z={z:+.2f} (vs 1/(1-r): {z_asym:+.2f})")
+            _check(
+                fails, abs(z) <= 3.0,
+                f"risk ratio off at {name}, T={p.t}: mean {p.q0_tilde_hat_mean:.4f} "
+                f"vs {exact:.4f} (se {p.q0_tilde_hat_se:.2e}), z={z:+.2f}",
+            )
+    dt = time.perf_counter() - t0
+    _check(fails, dt < 60.0, f"runtime {dt:.0f}s >= 1min")
+    criterion_recorder(
+        f"CRITERION 12: {'PASS' if not fails else 'FAIL'} — equality, N=20, 2000 trials, "
+        f"risk ratio vs (T-1)/(T-N): {'; '.join(detail)} (|z|<=3), {dt:.1f}s"
     )
     assert not fails, "; ".join(fails)

@@ -470,15 +470,30 @@ def test_general_solver_matches_unconstrained_corner_near_r_1(gap):
 
 @pytest.mark.parametrize("r", np.linspace(0.1, 1.9, 5))
 def test_general_solver_matches_noshort_corner(r):
-    # under a ban eta1 only shifts lam: the banned-shorts root, the penalized
-    # solver's start, solves both saddle equations for every eta1
+    # under a ban eta1 only shifts lam: the banned-shorts root solves both
+    # saddle equations for every eta1, and is returned as it is
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
     ref = noshort_solution(uni, r)
     for eta1 in (0.0, 0.3, 32.0):
         sol = general_l1_solve(uni, r, RegularizerParams(eta1, math.inf))
-        for a, b in ((sol.delta, ref.delta), (sol.q0, ref.q0), (sol.n0, ref.n0)):
-            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
-        assert abs((sol.lam - eta1) - ref.lam) <= 1e-13 * max(1.0, eta1)
+        assert (sol.delta, sol.q0, sol.n0) == (ref.delta, ref.q0, ref.n0)
+        assert sol.lam == ref.lam + eta1
+
+
+@pytest.mark.parametrize("eta1", [0.0, 0.3, 32.0])
+def test_general_solver_under_a_ban_runs_no_newton(monkeypatch, eta1):
+    calls = []
+    residual = theory._saddle_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(theory, "_saddle_residual", counted)
+    uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
+    for r in (0.1, 0.5, 1.0, 1.5, 1.9):
+        general_l1_solve(uni, r, RegularizerParams(eta1, math.inf))
+    assert calls == []
 
 
 def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
@@ -656,6 +671,9 @@ def _check_penalized(uni, r, reg):
     eta1=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
     eta2=st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 50.0)),
 )
+# r = 1 - 2^-52 under a penalty of 2^-126: a band below rounding, which
+# Newton cannot pin, so the closed-form root is the answer
+@example(log_r=math.log1p(-2.0**-52), spread=0.0, n=1, seed=0, eta1=0.0, eta2=2.0**-126)
 def test_penalized_solver_property(log_r, spread, n, seed, eta1, eta2):
     # eta1 = inf is refused by RegularizerParams itself (test_regularizer_validation)
     uni = AssetUniverse.lognormal(0.0, spread, n, seed)

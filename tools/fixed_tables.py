@@ -11,6 +11,9 @@ It writes, through `minvar.cli.main`:
   * the analytic benchmark's reference slice at N = 1000 (lognormal sigmas,
     seed 7): `replica` for the noshort, equality and eta = (0.3, 1.5)
     constraints, and the `weights` table;
+  * `replica` under a ban with a positive-side penalty, eta = (0.3, inf),
+    on the same universe, the one route of `general_l1_solve` that no
+    corner table reaches;
   * one no-short and one equality `simulate` at N = 50;
   * a no-short `simulate` at N = 400 (r = 1, 1.9, 2.5, two trials each),
     whose corrals of a few hundred assets exercise the drops and ratio
@@ -42,6 +45,8 @@ TABLES = {
                              "--r-grid", "0.05:0.95:0.1", *SIGMA),
     "replica-penalized.csv": ("replica", "--eta1", "0.3", "--eta2", "1.5",
                               "--r-grid", "0.05:1.95:0.1", *SIGMA),
+    "replica-ban-eta1.csv": ("replica", "--eta1", "0.3", "--eta2", "inf",
+                             "--r-grid", "0.05:1.95:0.1", *SIGMA),
     "weights.csv": ("weights", "--trials", "0", "--bin-width", "0.25",
                     "--r-grid", "0.5,1.9", *SIGMA),
     "weights-mc.csv": ("weights", "--n", "50", "--trials", "20", "--r-grid", "0.5,1.5",
