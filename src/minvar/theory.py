@@ -13,14 +13,14 @@ Everything an asset universe contributes enters through two moments:
 The module exposes:
 
   * the noiseless optimum (`true_optimum`),
-  * closed forms for the unconstrained estimator, valid for 0 < r < 1
-    (`unconstrained_solution`),
-  * the short-sale-banned estimator, valid for 0 < r < 2
-    (`noshort_lambda`, `noshort_solution`),
-  * a solver for the general asymmetric-penalty system that returns both
-    of the above exactly at its corners (`general_l1_solve`): eta = (0, 0)
-    is the closed form, any ban the banned-shorts root shifted by eta1, and
-    a finite eta2 runs Newton with a bracketed fallback,
+  * a solver for the general asymmetric-penalty system
+    (`general_l1_solve`): eta = (0, 0) is the closed form, any ban the
+    banned-shorts root shifted by eta1, and a finite eta2 runs Newton with
+    a bracketed fallback,
+  * its two corners, which are calls of it: the unconstrained estimator,
+    0 < r < 1 (`unconstrained_solution`), and the short-sale-banned one,
+    0 < r < 2 (`noshort_solution`), whose multiplier is a scalar root
+    (`noshort_lambda`),
   * the variational free-energy surface and a finite-difference
     stationarity check (`free_energy_functional`, `stationarity_residual`),
   * closed-form behavior at the critical ratio r = 2
@@ -394,24 +394,16 @@ def _assemble(uni, reg, r, m, u) -> ReplicaSolution:
 
 
 def unconstrained_solution(universe, r: float) -> ReplicaSolution:
-    """Closed-form solution of the unpenalized estimator, 0 < r < 1.
+    """The unpenalized estimator, 0 < r < 1: `general_l1_solve` at eta = (0, 0).
 
-    All order parameters are elementary in (r, c2); the weight law of each
-    asset is a single Gaussian centered on its noiseless weight. Risk
-    inflation is the classic 1/(1 - r) factor, independent of the universe.
+    In exact arithmetic lam = (1 - r)/(r c2), delta = r/(1 - r) and
+    q0 = 1/((1 - r) c2); the root is set from lam, but the rest is assembled
+    from saddle-point averages, so delta is a few 1e-9 relative off at
+    1 - r = 2^-52. Each asset's weight law is one Gaussian centered on its
+    noiseless weight; risk inflation is 1/(1 - r) for every universe.
+    PhaseBoundaryError from r = 1 on.
     """
-    uni = as_universe(universe)
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if r >= 1:
-        raise PhaseBoundaryError(
-            f"unconstrained estimator has no solution at r = {r:g}: the sample "
-            "covariance loses rank at the r = 1 boundary and the optimum is "
-            "non-unique from there on"
-        )
-    c2 = uni.mean_inv_var
-    lam = (1.0 - r) / (r * c2)
-    return _assemble(uni, RegularizerParams.none(), r, lam, math.sqrt(lam))
+    return general_l1_solve(universe, r, RegularizerParams.none())
 
 
 def noshort_lambda(universe, r: float) -> float:
@@ -425,19 +417,12 @@ def noshort_lambda(universe, r: float) -> float:
     the root, falls monotonically onto it. The residual h = mean W - 1/(2r)
     there must be below 1e-12 * max(1, 1/(2r)): absolute for r >= 1/2,
     relative to the target below, where the target outgrows what double
-    precision resolves to 1e-12. Within CRITICAL_MARGIN below r = 2 it
-    raises CriticalPhaseError, as `general_l1_solve` does: there 2 - r is
-    lost in rounding.
+    precision resolves to 1e-12. From r = 2 - CRITICAL_MARGIN on it raises
+    `general_l1_solve`'s CriticalPhaseError (`_near_critical`).
     """
     uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
-    if r >= 2:
-        raise CriticalPhaseError(
-            f"banned-shorts estimator has no solution at r = {r:g}: beyond the "
-            "critical ratio r = 2 a zero-variance portfolio exists with "
-            "probability one"
-        )
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("banned-shorts estimator", r)
     s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
@@ -484,17 +469,17 @@ def _newton_right(f, x: float) -> tuple[float, float]:
 
 
 def noshort_solution(universe, r: float) -> ReplicaSolution:
-    """Full solution of the banned-shorts estimator, 0 < r < 2.
+    """The banned-shorts estimator, 0 < r < 2: `general_l1_solve` at eta = (0, inf).
 
-    Derived quantities follow from the multiplier: the cdf mass
-    phi_bar = mean Phi(sqrt(lam)/sigma) gives delta = r*phi_bar/(1 - r*phi_bar),
-    its denominator formed as sqrt(lam)*r*mean(Psi(sqrt(lam)/sigma)/sigma) > 0,
-    equal at the root and free of cancellation near r = 2; q0 = lam*r*(1+delta)^2,
-    and the condensed fraction n0 = mean Phi(-sqrt(lam)/sigma) < 1/2.
+    Derived quantities follow from the multiplier of `noshort_lambda`: the
+    cdf mass phi_bar = mean Phi(sqrt(lam)/sigma) gives
+    delta = r*phi_bar/(1 - r*phi_bar), its denominator formed as
+    sqrt(lam)*r*mean(Psi(sqrt(lam)/sigma)/sigma) > 0, equal at the root and
+    free of cancellation near r = 2; q0 = lam*r*(1+delta)^2, and the
+    condensed fraction n0 = mean Phi(-sqrt(lam)/sigma) < 1/2.
+    CriticalPhaseError from r = 2 - CRITICAL_MARGIN on.
     """
-    uni = as_universe(universe)
-    lam = noshort_lambda(uni, r)
-    return _assemble(uni, RegularizerParams.short_ban(), r, lam, math.sqrt(lam))
+    return general_l1_solve(universe, r, RegularizerParams.short_ban())
 
 
 def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> float:
@@ -594,12 +579,13 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
 
     with the averages of `_tail_terms`. Each eta takes one route:
 
-      * eta = (0, 0) is the closed form of `unconstrained_solution`, and so
-        is, at r < 1, a penalty whose widest band eta / (sigma u) at that
-        root is at most 1e-13, the bound to which r >= 1 resolves eta;
+      * eta = (0, 0) is the closed-form root m = u^2 = (1 - r)/(r c2) at
+        r < 1 (PhaseBoundaryError from r = 1 on), and so is, at r < 1, a
+        penalty whose widest band eta / (sigma u) at that root is at most
+        1e-13, the bound to which r >= 1 resolves eta;
       * any ban (eta2 = inf) is the banned-shorts root (lam_ns, sqrt(lam_ns))
         of `noshort_lambda`, which solves both equations exactly: eta1 only
-        shifts lam, and eta = (0, inf) is `noshort_solution` to the bit;
+        shifts lam, and eta = (0, inf) is `noshort_solution`;
       * any other eta runs damped Newton from the banned-shorts root and, if
         that stops short of a root pinned to NEWTON_TOL, again from
         `_bracketed_start`; a pinned or smaller residual wins.
@@ -640,7 +626,11 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
         if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(uni._sig)) * math.sqrt(lam):
             return _assemble(uni, reg, r, lam, math.sqrt(lam))
     elif reg.eta1 == 0.0 and reg.eta2 == 0.0:
-        return unconstrained_solution(uni, r)  # raises PhaseBoundaryError
+        raise PhaseBoundaryError(
+            f"unconstrained estimator has no solution at r = {r:g}: the sample "
+            "covariance loses rank at the r = 1 boundary and the optimum is "
+            "non-unique from there on"
+        )
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
     lam0 = noshort_lambda(uni, r)
@@ -765,10 +755,11 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
 
 
 def _near_critical(what, r) -> CriticalPhaseError:
-    return CriticalPhaseError(
-        f"{what} has no solution at r = {r!r} (critical r = 2; "
-        f"within {CRITICAL_MARGIN:g} below it, 2 - r is lost in rounding)"
-    )
+    """The refusal from r = 2 - CRITICAL_MARGIN on, with its reason on each side of r = 2."""
+    why = ("from it on the optimum is flat, and beyond it a long-only zero-variance "
+           "portfolio exists with probability -> 1" if r >= 2
+           else f"within {CRITICAL_MARGIN:g} below it, 2 - r is lost in rounding")
+    return CriticalPhaseError(f"{what} has no solution at r = {r!r} (critical r = 2; {why})")
 
 
 def _unrepresentable(r, reg) -> PhaseBoundaryError:

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from minvar import (
     AssetUniverse,
@@ -33,6 +34,7 @@ from minvar import (
     unconstrained_solution,
     weight_histogram,
 )
+from minvar import theory
 from minvar.cli import main, read_table
 from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
 
@@ -182,29 +184,79 @@ def test_criterion_4_critical_point_behavior(criterion_recorder):
     assert not fails, "; ".join(fails)
 
 
-def test_criterion_5_corner_reductions(criterion_recorder):
+def test_criterion_5_corner_reductions(criterion_recorder, monkeypatch):
+    # The corners are checked against this test's own references: the
+    # closed form in (r, c2) at eta = (0, 0), and at eta = (0, inf) the
+    # banned-shorts root of mean W(sqrt(lam)/sigma) = 1/(2r) by scipy's
+    # brentq, with delta = r phi_bar / (1 - r phi_bar). The interior route,
+    # damped Newton on both saddle equations, must meet both corners.
     fails = []
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
-    worst = 0.0
+    sig = np.asarray(uni.sigmas)
+    c2 = uni.mean_inv_var
 
-    def reldev(a, b):
-        return abs(a - b) / max(1.0, abs(b))
+    def free_ref(r):
+        lam = (1.0 - r) / (r * c2)
+        return (lam, 1.0 / ((1.0 - r) * c2), r / (1.0 - r), -0.5 * lam, (1.0 - r) / (2.0 * r))
 
-    for r in np.linspace(0.05, 0.95, 10):
-        ref = unconstrained_solution(uni, float(r))
-        sol = general_l1_solve(uni, float(r), RegularizerParams(0.0, 0.0))
-        d = max(reldev(a, b) for a, b in zip(sol.order_params, ref.order_params))
-        worst = max(worst, d)
-        _check(fails, d <= 1e-8, f"free corner deviation {d:.2e} at r={r:.3f}")
-    for r in np.linspace(0.1, 1.9, 10):
-        ref = noshort_solution(uni, float(r))
-        sol = general_l1_solve(uni, float(r), RegularizerParams.short_ban())
-        d = max(reldev(a, b) for a, b in zip(sol.order_params, ref.order_params))
-        worst = max(worst, d)
-        _check(fails, d <= 1e-8, f"ban corner deviation {d:.2e} at r={r:.3f}")
+    def ban_ref(r):
+        s_up = math.sqrt((2.0 / r - 1.0) / c2)
+        s = scipy.optimize.brentq(lambda s: float(np.mean(norm_cdf_int2(s / sig))) - 0.5 / r,
+                                  0.0, s_up, xtol=min(1e-15, 1e-9 * s_up),
+                                  rtol=4 * np.finfo(float).eps)
+        phi_bar = float(np.mean(norm_cdf(s / sig)))
+        v = 1.0 / (1.0 - r * phi_bar)  # 1 + delta
+        return (s * s, s * s * r * v * v, v - 1.0, -0.5 * s * s, 1.0 / (2.0 * r * v))
+
+    def reldev(sol, ref):
+        return max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(sol.order_params, ref))
+
+    free_grid, ban_grid = np.linspace(0.05, 0.95, 10), np.linspace(0.1, 1.9, 10)
+    corner = 0.0
+    for grid, reg, ref in ((free_grid, RegularizerParams.none(), free_ref),
+                           (ban_grid, RegularizerParams.short_ban(), ban_ref)):
+        for r in grid:
+            d = reldev(general_l1_solve(uni, float(r), reg), ref(float(r)))
+            corner = max(corner, d)
+            _check(fails, d <= 1e-8, f"corner eta2={reg.eta2:g} deviation {d:.2e} at r={r:.3f}")
+
+    calls = []
+    residual = theory._saddle_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(theory, "_saddle_residual", counted)
+
+    def interior(grid, reg, ref):
+        """Worst deviation from `ref` over `grid`, each point solved by Newton."""
+        worst = 0.0
+        for r in grid:
+            del calls[:]
+            worst = max(worst, reldev(general_l1_solve(uni, float(r), reg), ref(float(r))))
+            _check(fails, calls, f"eta = ({reg.eta1:g}, {reg.eta2:g}) at r={r:.3f} ran no Newton")
+        return worst
+
+    weak = {}
+    for eps in (1e-6, 1e-8, 1e-10):
+        weak[eps] = interior(free_grid, RegularizerParams(eps, eps), free_ref)
+        _check(fails, weak[eps] <= 100.0 * eps,
+               f"eta = ({eps:g}, {eps:g}) deviation {weak[eps]:.2e} from the free corner")
+    # at eta2 = 1e3 Newton returns its start, the banned-shorts root, after
+    # one residual, so that value would check nothing
+    strong = {eta2: interior(ban_grid, RegularizerParams(0.0, eta2), ban_ref)
+              for eta2 in (10.0, 30.0, 100.0)}
+    _check(fails, strong[10.0] > strong[30.0] > strong[100.0],
+           f"ban corner not approached as eta2 grows: {strong}")
+    _check(fails, strong[100.0] <= 1e-10,
+           f"eta2 = 100 deviation {strong[100.0]:.2e} from the ban corner")
     criterion_recorder(
-        f"CRITERION 5: {'PASS' if not fails else 'FAIL'} — general solver vs both "
-        f"dedicated corners, 10-point grids, worst deviation {worst:.2e} (tol 1e-8)"
+        f"CRITERION 5: {'PASS' if not fails else 'FAIL'} — corners vs closed form and "
+        f"brentq root, 10-point grids, worst {corner:.2e} (tol 1e-8); Newton at "
+        f"eta=(eps,eps) vs free: " + ", ".join(f"{v:.1e}" for v in weak.values())
+        + " (tol 100 eps); at eta=(0,eta2) vs ban, eta2=10,30,100: "
+        + ", ".join(f"{v:.1e}" for v in strong.values()) + " (last tol 1e-10)"
     )
     assert not fails, "; ".join(fails)
 

@@ -310,6 +310,15 @@ def test_noshort_answers_just_outside_critical_margin(uni):
 # ---------------------------------------------------------------------------
 
 
+def _brentq_noshort_lambda(uni, r):
+    """The banned-shorts multiplier by scipy's brentq on mean W(sqrt(lam)/sigma) = 1/(2r)."""
+    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
+    s = scipy.optimize.brentq(lambda s: float(np.mean(norm_cdf_int2(s / uni._sig))) - 0.5 / r,
+                              0.0, s_up, xtol=min(1e-15, 1e-9 * s_up),
+                              rtol=4 * np.finfo(float).eps)
+    return s * s
+
+
 @pytest.mark.parametrize(
     "uni",
     [
@@ -320,17 +329,11 @@ def test_noshort_answers_just_outside_critical_margin(uni):
 )
 @pytest.mark.parametrize("r", [1e-6, 0.5, 1.9, 2.0 - 1e-12])
 def test_noshort_lambda_matches_scipy_brentq(uni, r):
-    sig = uni._sig
     target = 0.5 / r
-
-    def h(s):
-        return float(np.mean(norm_cdf_int2(s / sig))) - target
-
-    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    ref = scipy.optimize.brentq(h, 0.0, s_up, xtol=min(1e-15, 1e-9 * s_up),
-                                rtol=4 * np.finfo(float).eps) ** 2
+    ref = _brentq_noshort_lambda(uni, r)
     lam = noshort_lambda(uni, r)
-    assert abs(h(math.sqrt(lam))) <= 1e-12 * max(1.0, target)
+    h = float(np.mean(norm_cdf_int2(math.sqrt(lam) / uni._sig))) - target
+    assert abs(h) <= 1e-12 * max(1.0, target)
     if r <= 1.9:
         # within 1e-10 of r = 2 the root is only as sharp as 1/4 - 1/(2r)
         assert lam == pytest.approx(ref, rel=1e-12)
@@ -445,27 +448,63 @@ def test_functional_value_matches_reported_free_energy():
 # ---------------------------------------------------------------------------
 
 
+def _free_corner(uni, r):
+    """(lam, q0, delta, q0_hat, delta_hat) of the unpenalized estimator, in closed form."""
+    c2 = uni.mean_inv_var
+    lam = (1.0 - r) / (r * c2)
+    return (lam, 1.0 / ((1.0 - r) * c2), r / (1.0 - r), -0.5 * lam, (1.0 - r) / (2.0 * r))
+
+
+def _ban_corner(uni, r):
+    """The same for the banned-shorts estimator, from the brentq multiplier.
+
+    With b = sqrt(lam)/sigma: delta = r mean Phi(b) / (1 - r mean Phi(b)),
+    q0 = lam r (1 + delta)^2, q0_hat = -lam/2, delta_hat = 1/(2r(1 + delta)).
+    The denominator is taken as sqrt(lam) r mean(Psi(b)/sigma), equal at the
+    root: formed as written, it cancels and put q0 7% off at 2 - r = 1e-13.
+    """
+    lam = _brentq_noshort_lambda(uni, r)
+    b = math.sqrt(lam) / uni._sig
+    delta = np.mean(norm_cdf(b)) / (math.sqrt(lam) * np.mean(norm_cdf_int(b) / uni._sig))
+    v = 1.0 + delta
+    return (lam, lam * r * v * v, delta, -0.5 * lam, 1.0 / (2.0 * r * v))
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap `theory.<name>`; returns the list its calls are appended to."""
+    calls = []
+    wrapped = getattr(theory, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(theory, name, counted)
+    return calls
+
+
 RGRID = np.linspace(0.1, 0.9, 5)
 
 
 @pytest.mark.parametrize("r", RGRID)
 def test_general_solver_matches_unconstrained_corner(r):
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
-    ref = unconstrained_solution(uni, r)
     sol = general_l1_solve(uni, r, RegularizerParams.none())
-    for a, b in zip(sol.order_params, ref.order_params):
+    for a, b in zip(sol.order_params, _free_corner(uni, r)):
         assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1.1e-12])
-def test_general_solver_matches_unconstrained_corner_near_r_1(gap):
+def test_general_solver_matches_unconstrained_corner_near_r_1(monkeypatch, gap):
     # a root solve would stagnate this close to r = 1 (Newton from the
     # banned-shorts root ended 6e-5 relative off at gap 1.1e-12); the corner
-    # is the closed form itself
+    # is the closed form itself, with no saddle residual evaluated
+    calls = _count_calls(monkeypatch, "_saddle_residual")
     uni = AssetUniverse.lognormal(0.0, 0.95, 37, 6108)
-    ref = unconstrained_solution(uni, 1.0 - gap)
-    sol = general_l1_solve(uni, 1.0 - gap, RegularizerParams(0.0, 0.0))
-    assert sol.order_params == ref.order_params
+    r = 1.0 - gap
+    sol = general_l1_solve(uni, r, RegularizerParams(0.0, 0.0))
+    assert calls == []
+    assert sol.lam == (1.0 - r) / (r * uni.mean_inv_var)
 
 
 @pytest.mark.parametrize("r", np.linspace(0.1, 1.9, 5))
@@ -473,8 +512,10 @@ def test_general_solver_matches_noshort_corner(r):
     # under a ban eta1 only shifts lam: the banned-shorts root solves both
     # saddle equations for every eta1, and is returned as it is
     uni = AssetUniverse(sigmas=(1.0, 2.0, 4.0))
-    ref = noshort_solution(uni, r)
-    for eta1 in (0.0, 0.3, 32.0):
+    ref = general_l1_solve(uni, r, RegularizerParams.short_ban())
+    for a, b in zip(ref.order_params, _ban_corner(uni, r)):
+        assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
+    for eta1 in (0.3, 32.0):
         sol = general_l1_solve(uni, r, RegularizerParams(eta1, math.inf))
         assert (sol.delta, sol.q0, sol.n0) == (ref.delta, ref.q0, ref.n0)
         assert sol.lam == ref.lam + eta1
@@ -482,14 +523,7 @@ def test_general_solver_matches_noshort_corner(r):
 
 @pytest.mark.parametrize("eta1", [0.0, 0.3, 32.0])
 def test_general_solver_under_a_ban_runs_no_newton(monkeypatch, eta1):
-    calls = []
-    residual = theory._saddle_residual
-
-    def counted(*args):
-        calls.append(args)
-        return residual(*args)
-
-    monkeypatch.setattr(theory, "_saddle_residual", counted)
+    calls = _count_calls(monkeypatch, "_saddle_residual")
     uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
     for r in (0.1, 0.5, 1.0, 1.5, 1.9):
         general_l1_solve(uni, r, RegularizerParams(eta1, math.inf))
@@ -499,14 +533,7 @@ def test_general_solver_under_a_ban_runs_no_newton(monkeypatch, eta1):
 def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
     # at r = 1 under a penalty of 1e-12 sigma the equations barely see m, so
     # Newton from the banned-shorts root leaves the root unpinned
-    calls = []
-    bracketed = theory._bracketed_start
-
-    def counted(*args):
-        calls.append(args)
-        return bracketed(*args)
-
-    monkeypatch.setattr(theory, "_bracketed_start", counted)
+    calls = _count_calls(monkeypatch, "_bracketed_start")
     sol = general_l1_solve(AssetUniverse((2.0,)), 1.0, RegularizerParams(0.0, 1e-12))
     assert len(calls) == 1
     assert max(abs(e) for e in _saddle_equations(sol)) < 1e-10
@@ -549,6 +576,19 @@ def test_penalized_solver_is_critical_from_r_2(reg, r):
     uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
     with pytest.raises(CriticalPhaseError):
         general_l1_solve(uni, r, reg)
+
+
+@pytest.mark.parametrize("r, reason", [(2.5, "zero-variance"), (2.0 - 1e-15, "lost in rounding")])
+def test_critical_refusal_names_the_side_of_r_2(r, reason):
+    # from r = 2 on the optimum is flat; just below it the ratio is fine but
+    # 2 - r is lost in rounding. Every entry point gives the reason of its side.
+    uni = AssetUniverse.lognormal(0.0, 0.5, 20, 3)
+    for solve in (noshort_lambda, noshort_solution,
+                  lambda uni, r: general_l1_solve(uni, r, RegularizerParams.short_ban()),
+                  lambda uni, r: general_l1_solve(uni, r, RegularizerParams(0.3, 1.5))):
+        with pytest.raises(CriticalPhaseError, match="r = 2") as exc:
+            solve(uni, r)
+        assert reason in str(exc.value)
 
 
 @pytest.mark.parametrize("solve", [
@@ -651,14 +691,14 @@ def _check_penalized(uni, r, reg):
     assert stationarity_residual(sol.order_params, uni, r, reg) < _stationarity_tolerance(sol)
     assert build_mixture(sol).mean() == pytest.approx(1.0, rel=1e-9)
     if reg == RegularizerParams.none():
-        ref, gap = unconstrained_solution(uni, r), 1.0 - r
+        ref, gap = _free_corner(uni, r), 1.0 - r
     elif reg == RegularizerParams.short_ban():
-        ref, gap = noshort_solution(uni, r), 2.0 - r
+        ref, gap = _ban_corner(uni, r), 2.0 - r
     else:
         return
-    # both solvers resolve their equations to ~eps; the order parameters
-    # inherit a condition number ~1/gap from the nearby phase boundary
-    for a, b in zip(sol.order_params, ref.order_params):
+    # solver and reference resolve their equations to ~eps; the order
+    # parameters inherit a condition number ~1/gap from the nearby phase boundary
+    for a, b in zip(sol.order_params, ref):
         assert a == pytest.approx(b, rel=1e-8 + 1e-14 / gap, abs=1e-10)
 
 
