@@ -323,10 +323,12 @@ class _Corral:
     it broadcasts over batches of matrices, which a drop's single 2-D block
     does not need, and costs 9-11 us of every call, more than the rotations
     themselves (12.5 -> 1.4 us at k - q = 2, 16.5 -> 7.2 us at 54). The
-    core also rotates a throwaway Q, which R's rotations never read; a
-    Fortran-ordered identity makes that cheaper on R's strided block
-    (68.5 -> 46.8 us per call at k - q = 130, 151 -> 98 us at 200, the
-    identity included; 2-vCPU Xeon VM, one BLAS thread).
+    core also rotates a throwaway Q, which R's rotations never read. It
+    gets the leading (k - q) x (k - q) block of a Fortran-ordered zero
+    matrix: rotated zeros stay zero, so only a drop deeper than any before
+    it allocates, a larger one (3-14 times per N = 400 solve). An N x N
+    zero matrix per solve nearly doubled the minor page faults of
+    perfbench's noshort-n400 rounds, since each solve touched fresh pages.
     """
 
     def __init__(self, cm: np.ndarray, rho: float, i0: int):
@@ -335,6 +337,7 @@ class _Corral:
         self.rho = rho
         self.kd = n - 1
         buf = np.empty(n - 1 + n * (n + 1))
+        self.zero_q = np.zeros((0, 0), order="F")
         self.r = buf[n - 1 :].reshape((n, n + 1), order="F")
         self.band = buf[: (n + 1) * n].reshape((n + 1, n), order="F")
         self.idx = np.empty(n, dtype=np.intp)
@@ -389,8 +392,10 @@ class _Corral:
         # rotate it alike: R'y = 1 holds for the remaining columns under any
         # orthogonal map of the rows. The rows above q only shift.
         r[q:k, k] = self.y[q:k]
+        if self.zero_q.shape[0] < k - q:
+            self.zero_q = np.zeros((k - q, k - q), order="F")
         _qr_delete(
-            np.eye(k - q, order="F"), r[q:k, q : k + 1], 0, which="col",
+            self.zero_q[: k - q, : k - q], r[q:k, q : k + 1], 0, which="col",
             overwrite_qr=True, check_finite=False,
         )
         r[:q, q : k - 1] = r[:q, q + 1 : k]
@@ -405,11 +410,12 @@ class _Corral:
 
 def _improving(mu: np.ndarray, tol: float) -> np.ndarray:
     """Up to ADD_BATCH assets with mu < -tol, ordered by (mu, asset index)."""
-    cand = np.flatnonzero(mu < -tol)
+    cand = (mu < -tol).nonzero()[0]
     if cand.size > ADD_BATCH:
-        cut = np.partition(mu[cand], ADD_BATCH - 1)[ADD_BATCH - 1]
-        cand = cand[mu[cand] <= cut]
-    return cand[np.argsort(mu[cand], kind="stable")[:ADD_BATCH]]
+        part = mu[cand]
+        part.partition(ADD_BATCH - 1)
+        cand = cand[mu[cand] <= part[ADD_BATCH - 1]]
+    return cand[mu[cand].argsort(kind="stable")[:ADD_BATCH]]
 
 
 def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
@@ -419,7 +425,7 @@ def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
     """
     t = ratios.min()
     ties = pos[ratios == t]
-    return int(ties[np.argmin(members[ties])]), t
+    return int(ties[members[ties].argmin()]), t
 
 
 def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpResult:
@@ -499,7 +505,7 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
                 # coefficient is clear of rounding, so j pivots on a nonzero
                 f = corral.members
                 coef = corral.solve(l)  # M^-1 m_j, before the drop reuses l's column
-                pos = np.flatnonzero(coef > 1e-9)
+                pos = (coef > 1e-9).nonzero()[0]
                 q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
                 w[f] = np.maximum(w[f] - t * coef, 0.0)
                 w[f[q]] = 0.0
@@ -514,7 +520,7 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members
-            pos = np.flatnonzero(v < -tol_w)
+            pos = (v < -tol_w).nonzero()[0]
             if pos.size == 0:
                 w[f] = np.maximum(v, 0.0)
                 break
@@ -523,7 +529,11 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             w_f = w[f]
             q, t = _first_blocking(pos, w_f[pos] / (w_f[pos] - v[pos]), f)
             alpha = min(max(t, 0.0), 1.0)
-            w[f] = w_f + alpha * (v - w_f)
+            # w_f + alpha (v - w_f), operation for operation, in v
+            v -= w_f
+            v *= alpha
+            v += w_f
+            w[f] = v
             w[f[q]] = 0.0
             corral.drop(q)
 

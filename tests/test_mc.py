@@ -6,6 +6,7 @@ small-sample physics that has exact finite-size answers.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_sweep_grid_reporting_and_determinism():
     q = s1.points[1]
     assert q.t == round(20 / 1.6) and q.r == 20 / q.t
     assert s1.trials == 6 and s1.constraint == "noshort"
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_noshort_sweep_with_drops_is_thread_count_independent(threads):
+    # at N = 200 every solve drops corral members, each through its own
+    # corral's buffers; a short switch interval makes the threads
+    # interleave inside their solves
+    uni = AssetUniverse.constant(1.0, 200)
+    s1 = sweep(uni, [1.9, 2.5], trials=4, constraint="noshort", seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        s2 = sweep(uni, [1.9, 2.5], trials=4, constraint="noshort", seed=5,
+                   threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert s1.points == s2.points
 
 
 def test_sweep_trial_indices_are_global():

@@ -214,6 +214,36 @@ def test_repeated_solves_are_bit_identical(solve, n, t):
     assert list(vars(c)) == ["matrix"]
 
 
+def test_drop_through_the_zero_q_matches_an_identity_q(monkeypatch):
+    # a drop hands qr_delete's core a block of the corral's zero matrix as
+    # Q, which is right only while the core's R rotations never read Q; the
+    # reference corral drops with a fresh identity Q instead
+    n = 60
+    cm = CovMatrix.from_returns(_panel(n, 2 * n)).matrix
+    rho = float(np.trace(cm)) / n
+    corrals = []
+    for _ in range(2):
+        corral = qp._Corral(cm, rho, 0)
+        for j in range(1, n):
+            corral.add(j, corral.pivot(j)[1])
+        corrals.append(corral)
+    zq, ref = corrals
+    core = qp._qr_delete
+
+    def identity_q(q_block, *args, **kwargs):
+        return core(np.eye(q_block.shape[0], order="F"), *args, **kwargs)
+
+    for q in (3, 31):  # k - q = 57, then 28
+        zq.drop(q)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp, "_qr_delete", identity_q)
+            ref.drop(q)
+        k = zq.k
+        assert np.triu(zq.r[:k, :k]).tobytes() == np.triu(ref.r[:k, :k]).tobytes()
+        assert zq.y[:k].tobytes() == ref.y[:k].tobytes()
+        assert not zq.zero_q.any()
+
+
 # ---------------------------------------------------------------------------
 # Equality-constrained solver
 # ---------------------------------------------------------------------------

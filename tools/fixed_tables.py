@@ -17,7 +17,9 @@ It writes, through `minvar.cli.main`:
   * one no-short and one equality `simulate` at N = 50;
   * a no-short `simulate` at N = 400 (r = 1, 1.9, 2.5, two trials each),
     whose corrals of a few hundred assets exercise the drops and ratio
-    ties that N = 50 barely reaches;
+    ties that N = 50 barely reaches, and the same call with `--threads 2`,
+    which runs the thread pool and a second sweep in one process; the spec
+    line omits the thread count, so the two files are byte-identical;
   * a `weights` table with Monte Carlo bins at N = 50 (r = 0.5, 1.5, 20
     trials each), so the `mc_mass` column is diffed too;
   * a `phase` table at N = 50 (r = 1.5, 1.9, 2.5, 20 trials each), written
@@ -56,6 +58,10 @@ TABLES = {
                                  "--trials", "20", "--seed", "3"),
     "simulate-noshort-n400.csv": ("simulate", "--constraint", "noshort", "--n", "400",
                                   "--r-grid", "1,1.9,2.5", "--trials", "2", "--seed", "3"),
+    "simulate-noshort-n400-threads2.csv": ("simulate", "--constraint", "noshort",
+                                           "--n", "400", "--r-grid", "1,1.9,2.5",
+                                           "--trials", "2", "--seed", "3",
+                                           "--threads", "2"),
     "simulate-equality-n50.csv": ("simulate", "--constraint", "equality", "--n", "50",
                                   "--r-grid", "0.5,0.9,1.5", "--trials", "20",
                                   "--seed", "3"),
