@@ -15,20 +15,24 @@ The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
 convex hull of the scaled asset vectors). The free set, the "corral",
 starts at the single asset of smallest variance. A major step adds up to
-ADD_BATCH outside assets with negative multipliers 2 (C w)_j - lam, taken
-from one gradient, most negative first; minor steps move toward the
-corral's affine minimizer and drop the member that would cross zero first.
+ADD_BATCH max(1, N // 500) outside assets with negative multipliers
+2 (C w)_j - lam, taken from one gradient, most negative first; minor steps
+move toward the corral's affine minimizer and drop the member that would
+cross zero first.
 The affine minimizer comes from a Cholesky factor of M = C_ff + rho 11'
 with rho = trace(C)/N: on the budget plane w' M w = w' C w + rho budget^2,
 so the shift moves no optimum, and M is positive definite exactly when the
-corral's asset vectors are affinely independent. An add solves the new
-factor column in place, in the factor's spare column (one triangular
-solve), and a drop restores the factor in place with Givens rotations;
-both cost O(k^2) for k free assets. If the first asset of a batch lies in
-the corral's affine hull it would give a zero pivot, so it first swaps
-weight with the member it can replace; later assets of the batch in the
-hull are skipped. The solve never factors C itself: a degenerate result
-says only that the optimum has zero variance, and `CovMatrix.rank` gives
+corral's asset vectors are affinely independent. For k free assets, a
+batch of B enters the factor as one block, in O(k^2 B): one triangular
+solve for its B new columns and a Cholesky factor of its B x B Schur
+complement. A drop restores the factor in place with Givens rotations, in
+O(k^2). An asset in the affine hull of the corral and the batch assets
+before it would give a zero pivot. Then the block is refused and the batch
+enters one asset at a time: its first asset, if in the corral's hull,
+swaps weight with the member it can replace, and later assets in the hull
+are skipped. Each gradient C w is one symmetric product that reads one
+triangle of C. The solve never factors C itself: a degenerate result says
+only that the optimum has zero variance, and `CovMatrix.rank` gives
 rank(C) to a caller who wants it.
 
 The brute-force oracle enumerates supports and solves each one with the
@@ -43,9 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr_delete, solve_triangular
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpstrf
+from scipy.linalg import qr_delete
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dpstrf, dtrtrs
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -76,16 +80,23 @@ FLAT_RTOL = 1e-24
 # the Cython core under scipy's batching wrapper of qr_delete (see _Corral)
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
-# corral's affine hull; it is never pivoted on: the first asset of a batch is
-# swapped in, a later one skipped
+# corral's affine hull; it is never pivoted on: a block holding one is
+# refused, and one asset at a time the first asset of a batch is swapped in,
+# a later one skipped
 PIVOT_RTOL = 1e-12
-# a major step of the no-short solver adds up to ADD_BATCH improving assets
-# from one gradient (one N x N product C w) before its minor cycle. Larger
-# batches take fewer gradients but bring in more assets that the minor cycle
-# drops again. Solve CPU time per trial on 36 trials at N = 400,
+# a major step of the no-short solver adds up to ADD_BATCH max(1, N // 500)
+# improving assets from one gradient (one product C w) before its minor
+# cycle. Larger batches take fewer gradients but bring in more assets that
+# the minor cycle drops again. Solve CPU time per trial in ms, mean over
 # r in {1, 1.9, 2.5} (2-vCPU Xeon VM, one BLAS thread, batch sizes
-# interleaved, median of 9 passes): 36.9, 25.4, 18.6, 16.9, 17.1 and 18.4 ms
-# at batch sizes 1, 2, 4, 8, 12 and 16.
+# interleaved, median of 7, 5 and 3 passes over 30, 10 and 3 trials per r):
+#
+#   batch size      1      4      8     12     16     24
+#   N = 100      2.86   1.90   1.98   2.11   2.64
+#   N = 400      21.3   11.5   8.45   9.32   9.25
+#   N = 1000            111    80.3   71.4   68.9   68.2
+#
+# Below N = 1000, 8 is within noise of the best; at N = 1000, 16 is.
 ADD_BATCH = 8
 
 
@@ -263,18 +274,19 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
         np.copyto(l[:rank], 0.0, where=np.tri(rank, k=-1, dtype=bool).T)
         lwork = int(dgeqrf_lwork(n, max(rank, 1))[0])
         qr, tau, _, _ = dgeqrf(l, lwork=lwork, overwrite_a=1)
-        s_fac = qr[:rank]
         a = _reflect(qr, tau, ones, "T")[:rank]
         z = ones - _reflect(qr, tau, a, "N")
         z -= _reflect(qr, tau, _reflect(qr, tau, z, "T")[:rank], "N")
         flat = float(z @ z) > FLAT_RTOL * n
         if not flat:
-            # C^+ 1 = Q S^-T S^-1 Q' 1
-            y = solve_triangular(s_fac, a, check_finite=False)
-            x = _reflect(qr, tau, solve_triangular(s_fac, y, trans=1, check_finite=False), "N")
+            # C^+ 1 = Q S^-T S^-1 Q' 1, solved with the lower triangle S' (a
+            # copy): the upper solve in place on qr would round differently
+            s_low = qr[:rank].T
+            y = dtrtrs(s_low, a, lower=1, trans=1)[0]
+            x = _reflect(qr, tau, dtrtrs(s_low, y, lower=1)[0], "N")
     else:
-        y = solve_triangular(l, ones, lower=True, check_finite=False)
-        x = solve_triangular(l, y, lower=True, trans=1, check_finite=False)
+        y = dtrtrs(l, ones, lower=1)[0]
+        x = dtrtrs(l, y, lower=1, trans=1)[0]
     # w = b x / s: the flat point b z / 1'z, or b C^+ 1 / 1'C^+ 1 with 1'C^+ 1 = y'y
     x, s = (z, float(np.sum(z))) if flat else (x, float(y @ y))
     w = np.empty(n)
@@ -307,17 +319,23 @@ class _Corral:
     """Free set of the no-short solver with a Cholesky factor of its M block.
 
     M = C_ff + rho 11' over the members, in factor order, and M = R'R with R
-    upper triangular. R is kept in column-major full storage with leading
-    dimension N and one spare column, so adds and drops work in place. LAPACK
-    band storage with kd = N - 1 and lda = N + 1 puts entry (i, j) at
-    (N - 1 + i - j) + (N + 1) j = (N - 1) + i + N j: the same memory,
-    shifted by N - 1 entries. Through that band view, dtbsv solves
-    with the leading k x k block of R without copying it. A pivot gathers
-    C[j, f] + rho into the spare column and solves it there, so an add
-    only writes the pivot below it; a drop borrows the same column for y.
-    y holds R'^-1 1, which gives the affine minimizer through one more
-    solve. Each asset of a batch goes through `pivot` and then `add`; one in
-    the affine hull is swapped in first if it leads the batch, else skipped.
+    upper triangular. R lives in an N x (N + 1) column-major array, so its
+    leading block r[:, :k] is a contiguous (N, k) view that LAPACK reads as
+    the k x k triangle with leading dimension N: every solve is one dtrtrs
+    on that view, with no copy, and adds and drops work in place. y holds
+    R'^-1 1, which gives the affine minimizer through one more solve.
+
+    A batch of B assets enters as one block when it can (`extend`): one
+    gather of C[batch, members + batch] + rho, one dtrtrs for all B new
+    columns (a level-3 triangular solve), a dpotrf of the B x B Schur
+    complement, and one B-length solve for y's new entries. The block is
+    all or nothing: if a squared pivot of the Schur factor is at most
+    PIVOT_RTOL * M_jj, some asset lies in the affine hull of the corral and
+    the batch before it, and the solver adds the batch one asset at a time
+    instead. There `pivot` gathers C[j, f] + rho into the spare column k and
+    solves it in place, so `add` only writes the pivot below it; an asset in
+    the hull is swapped in if it leads the batch, else skipped. A drop
+    borrows the same spare column for y.
 
     A drop calls qr_delete's Cython core directly: scipy's wrapper around
     it broadcasts over batches of matrices, which a drop's single 2-D block
@@ -335,11 +353,8 @@ class _Corral:
         n = cm.shape[0]
         self.cm = cm
         self.rho = rho
-        self.kd = n - 1
-        buf = np.empty(n - 1 + n * (n + 1))
         self.zero_q = np.zeros((0, 0), order="F")
-        self.r = buf[n - 1 :].reshape((n, n + 1), order="F")
-        self.band = buf[: (n + 1) * n].reshape((n + 1, n), order="F")
+        self.r = np.empty((n, n + 1), order="F")
         self.idx = np.empty(n, dtype=np.intp)
         self.mask = np.zeros(n, dtype=bool)
         self.y = np.empty(n)
@@ -355,7 +370,36 @@ class _Corral:
 
     def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
         """R^-1 x, or R'^-1 x with trans=1."""
-        return dtbsv(self.kd, self.band[:, : self.k], x, trans=trans)
+        return dtrtrs(self.r[:, : self.k], x, trans=trans)[0]
+
+    def extend(self, batch: np.ndarray) -> bool:
+        """Append the assets of `batch` as one block; False, and no change, if refused.
+
+        The block is refused when a squared pivot of its Schur factor is at
+        most PIVOT_RTOL * M_jj (or dpotrf meets a nonpositive one).
+        """
+        k, nb = self.k, batch.size
+        # C[batch, members + batch] + rho in one gather; its transpose is the
+        # column-major (k + B) x B block whose first k rows dtrtrs solves in
+        # place, R' L = C[members, batch] + rho, under M[batch, batch]
+        cols = np.concatenate((self.members, batch))
+        g = self.cm.take(batch, axis=0).take(cols, axis=1)
+        g += self.rho
+        lm = dtrtrs(self.r[:, :k], g.T, trans=1, overwrite_b=1)[0]
+        l, m = lm[:k], lm[k:]
+        # upper Cholesky factor of the Schur complement M_bb - L'L, which is
+        # symmetric: its transpose is column-major, and dpotrf works in place
+        s = m - l.T @ l
+        d, info = dpotrf(s.T, overwrite_a=1)
+        if info or not (d.diagonal() ** 2 > PIVOT_RTOL * m.diagonal()).all():
+            return False
+        self.r[:k, k : k + nb] = l
+        self.r[k : k + nb, k : k + nb] = d
+        self.y[k : k + nb] = dtrtrs(d, 1.0 - self.y[:k] @ l, trans=1)[0]
+        self.idx[k : k + nb] = batch
+        self.mask[batch] = True
+        self.k = k + nb
+        return True
 
     def pivot(self, j: int) -> tuple[np.ndarray, float, float]:
         """New factor column l of asset j, its squared pivot d2, and M_jj.
@@ -368,7 +412,7 @@ class _Corral:
         # the members are valid indices; mode="clip" spares take's buffer
         l = self.cm[j].take(self.members, out=self.r[:k, k], mode="clip")
         l += self.rho
-        dtbsv(self.kd, self.band[:, :k], l, trans=1, overwrite_x=1)
+        dtrtrs(self.r[:, :k], self.r[:, k : k + 1], trans=1, overwrite_b=1)
         return l, mjj - float(l @ l), mjj
 
     def add(self, j: int, d2: float) -> None:
@@ -408,14 +452,14 @@ class _Corral:
         return (b / float(y @ y)) * self.solve(y)
 
 
-def _improving(mu: np.ndarray, tol: float) -> np.ndarray:
-    """Up to ADD_BATCH assets with mu < -tol, ordered by (mu, asset index)."""
+def _improving(mu: np.ndarray, tol: float, size: int) -> np.ndarray:
+    """Up to `size` assets with mu < -tol, ordered by (mu, asset index)."""
     cand = (mu < -tol).nonzero()[0]
-    if cand.size > ADD_BATCH:
+    if cand.size > size:
         part = mu[cand]
-        part.partition(ADD_BATCH - 1)
-        cand = cand[mu[cand] <= part[ADD_BATCH - 1]]
-    return cand[mu[cand].argsort(kind="stable")[:ADD_BATCH]]
+        part.partition(size - 1)
+        cand = cand[mu[cand] <= part[size - 1]]
+    return cand[mu[cand].argsort(kind="stable")[:size]]
 
 
 def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
@@ -433,19 +477,21 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
 
     Wolfe's min-norm-point method in weight form. The corral starts as the
     single asset of smallest variance. Each major step adds, from one
-    gradient, up to ADD_BATCH outside assets with negative multipliers,
-    ordered by (multiplier, asset index), and skips those in the corral's
-    affine hull; minor steps then drop the corral members that block the
-    way to the corral's affine minimizer. A new member whose affine weight
-    is negative leaves at step length 0, and by Wolfe's lemma the last new
-    member left keeps a positive weight, so the objective falls strictly at
-    every major step and the method terminates as with single adds.
-    Assets outside the corral have exactly zero weight in the result, and
-    `iterations` counts adds plus drops. Flat (zero-variance) optima are
-    detected from the final objective against the scaled threshold and
-    flagged, never regularized; they end with at most rank(C) + 1 corral
-    members. Raises ValueError on a budget that is negative or not finite,
-    and ActiveSetError if the step cap (50 N) is exhausted.
+    gradient, up to ADD_BATCH max(1, N // 500) outside assets with negative
+    multipliers, ordered by (multiplier, asset index): as one block of the
+    factor when none lies in the affine hull of the corral, else one at a
+    time, skipping those in the hull. Minor steps then drop the corral
+    members that block the way to the corral's affine minimizer. A new
+    member whose affine weight is negative leaves at step length 0, and by
+    Wolfe's lemma the last new member left keeps a positive weight, so the
+    objective falls strictly at every major step and the method terminates
+    as with single adds. Assets outside the corral have exactly zero weight
+    in the result, and `iterations` counts adds plus drops. Flat
+    (zero-variance) optima are detected from the final objective against
+    the scaled threshold and flagged, never regularized; they end with at
+    most rank(C) + 1 corral members. Raises ValueError on a budget that is
+    negative or not finite, and ActiveSetError if the step cap (50 N) is
+    exhausted.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -480,43 +526,53 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             raise failure(f"active-set cap {cap} reached", mu_min)
         steps += 1
 
+    size = ADD_BATCH * max(1, n // 500)
+    cmt = cm.T  # column-major, so dsymv reads one triangle of C in place
     while True:
-        g = cm @ w
+        g = dsymv(1.0, cmt, w)
         lam = 2.0 * float(w @ g) / b if b > 0 else 0.0
         mu = 2.0 * g
         mu -= lam
         mu[corral.mask] = np.inf
-        batch = _improving(mu, tol_mu)
+        batch = _improving(mu, tol_mu, size)
         if batch.size == 0:
             break
         mu_min = float(mu[batch[0]])
-        for i, j in enumerate(batch.tolist()):
-            l, d2, mjj = corral.pivot(j)
-            if d2 <= PIVOT_RTOL * mjj:
-                if i > 0:
-                    # the swap below moves w along a null direction of C (to
-                    # the pivot tolerance), so the rest of the batch keeps its
-                    # multipliers; a later member in the corral's affine hull
-                    # is skipped, not swapped
-                    continue
-                # j lies (numerically) in the corral's affine hull, x_j = X_f c
-                # with sum(c) = 1: move weight onto j along the objective-neutral
-                # direction e_j - c and drop the member that empties first, whose
-                # coefficient is clear of rounding, so j pivots on a nonzero
-                f = corral.members
-                coef = corral.solve(l)  # M^-1 m_j, before the drop reuses l's column
-                pos = (coef > 1e-9).nonzero()[0]
-                q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
-                w[f] = np.maximum(w[f] - t * coef, 0.0)
-                w[f[q]] = 0.0
-                w[j] = t
-                count_step()
-                corral.drop(q)
+        # the whole batch as one block when it fits under the cap and has no
+        # asset in the affine hull; otherwise one asset at a time
+        if batch.size > 1 and steps + batch.size <= cap and corral.extend(batch):
+            steps += batch.size
+        else:
+            for i, j in enumerate(batch.tolist()):
                 l, d2, mjj = corral.pivot(j)
-                if not d2 > 0.0:
-                    raise failure(f"asset {j} stays affinely dependent", mu_min)
-            count_step()
-            corral.add(j, d2)
+                if d2 <= PIVOT_RTOL * mjj:
+                    if i > 0:
+                        # the swap below moves w along a null direction of C
+                        # (to the pivot tolerance), so the rest of the batch
+                        # keeps its multipliers; a later member in the
+                        # corral's affine hull is skipped, not swapped
+                        continue
+                    # j lies (numerically) in the corral's affine hull,
+                    # x_j = X_f c with sum(c) = 1: move weight onto j along the
+                    # objective-neutral direction e_j - c and drop the member
+                    # that empties first, whose coefficient is clear of
+                    # rounding, so j pivots on a nonzero
+                    f = corral.members
+                    # M^-1 m_j, before the drop reuses l's column
+                    coef = corral.solve(l)
+                    pos = (coef > 1e-9).nonzero()[0]
+                    q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
+                    w[f] = np.maximum(w[f] - t * coef, 0.0)
+                    w[f[q]] = 0.0
+                    w[j] = t
+                    count_step()
+                    corral.drop(q)
+                    l, d2, mjj = corral.pivot(j)
+                    if not d2 > 0.0:
+                        raise failure(f"asset {j} stays affinely dependent",
+                                      mu_min)
+                count_step()
+                corral.add(j, d2)
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members

@@ -244,6 +244,60 @@ def test_drop_through_the_zero_q_matches_an_identity_q(monkeypatch):
         assert not zq.zero_q.any()
 
 
+def _assert_factor_holds(corral, cm, rho):
+    # R'R = C_ff + rho 11' and R'y = 1 over the members, to 1e-12 relative
+    k, f = corral.k, corral.members
+    r = np.triu(corral.r[:k, :k])
+    m = cm[np.ix_(f, f)] + rho
+    assert np.max(np.abs(r.T @ r - m)) <= 1e-12 * np.max(np.abs(m))
+    assert np.max(np.abs(r.T @ corral.y[:k] - 1.0)) <= 1e-12
+
+
+def test_extend_matches_per_asset_adds():
+    # a block of B assets leaves the factor and y that B single adds leave,
+    # batch after batch, in the same member order
+    n = 80
+    cm = CovMatrix.from_returns(_panel(n, 2 * n)).matrix
+    rho = float(np.trace(cm)) / n
+    block, single = qp._Corral(cm, rho, 0), qp._Corral(cm, rho, 0)
+    order = np.random.default_rng(4).permutation(np.arange(1, n))
+    for batch in np.split(order, [12, 20, 45, 57]):  # B = 12, 8, 25, 12, 22
+        assert block.extend(batch)
+        for j in batch.tolist():
+            single.add(j, single.pivot(j)[1])
+        k = block.k
+        assert block.members.tolist() == single.members.tolist()
+        assert np.array_equal(block.mask, single.mask)
+        for corral in (block, single):
+            _assert_factor_holds(corral, cm, rho)
+        assert np.allclose(np.triu(block.r[:k, :k]), np.triu(single.r[:k, :k]),
+                           rtol=0, atol=1e-12 * float(np.max(np.abs(single.r[:k, :k]))))
+        assert np.allclose(block.y[:k], single.y[:k], rtol=1e-12, atol=0)
+
+
+def test_extend_refuses_a_batch_with_an_asset_in_the_affine_hull():
+    # asset 30 copies member 5, and asset 31 copies asset 32 of the same
+    # batch, each up to 1e-9 noise: either batch is refused whole, and the
+    # corral is left exactly as it was
+    n = 40
+    x = _panel(n, 2 * n)
+    rng = np.random.default_rng(9)
+    x[30] = x[5] + 1e-9 * rng.standard_normal(2 * n)
+    x[31] = x[32] + 1e-9 * rng.standard_normal(2 * n)
+    cm = CovMatrix.from_returns(x).matrix
+    rho = float(np.trace(cm)) / n
+    corral = qp._Corral(cm, rho, 0)
+    assert corral.extend(np.arange(1, 12))
+    for batch in ([20, 30, 21], [31, 22, 32]):
+        before = [a.copy() for a in (corral.r, corral.y, corral.idx, corral.mask)]
+        k = corral.k
+        assert not corral.extend(np.array(batch))
+        assert corral.k == k
+        for a, b in zip(before, (corral.r, corral.y, corral.idx, corral.mask)):
+            assert a.tobytes() == b.tobytes()
+    _assert_factor_holds(corral, cm, rho)
+
+
 # ---------------------------------------------------------------------------
 # Equality-constrained solver
 # ---------------------------------------------------------------------------
@@ -785,6 +839,31 @@ def test_noshort_batched_adds_match_brute_force(n, t, seed, duplicate, sigma_spr
     ref = brute_force_noshort(c, budget)
     assert kkt_residual(c, res, budget) <= 1e-10
     assert abs(res.objective - ref.objective) <= 1e-10 * (1.0 + ref.objective)
+
+
+@pytest.mark.parametrize("n", [60, 150])
+def test_noshort_optimum_does_not_depend_on_the_batch_size(n, monkeypatch):
+    # ADD_BATCH = 1 is the pure per-asset path below N = 1000; larger
+    # batches, 16 as at N = 1000, take other paths to the same unique
+    # optimum below r = 2. Above it every trial is flat, and the vertex
+    # reached may depend on the path
+    sizes = (1, 8, 16)
+    for r in (0.5, 1.0, 1.5, 2.5):
+        t = round(n / r)
+        c = CovMatrix.from_returns(np.random.default_rng(n).standard_normal((n, t)))
+        results = []
+        for size in sizes:
+            monkeypatch.setattr(qp, "ADD_BATCH", size)
+            res = min_variance_noshort(c, float(n))
+            assert kkt_residual(c, res, float(n)) <= 1e-10
+            results.append(res)
+        for res in results:
+            if r < 2.0:
+                assert not res.degenerate
+                assert np.max(np.abs(res.weights - results[0].weights)) <= 1e-9
+            else:
+                assert res.degenerate
+                assert np.count_nonzero(res.weights) <= t + 1
 
 
 def test_iterations_zero_outside_the_active_set():
