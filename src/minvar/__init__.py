@@ -34,7 +34,7 @@ from .qp import (
     min_variance_equality,
     min_variance_noshort,
 )
-from .special import norm_cdf, norm_cdf_int, norm_cdf_int2, norm_pdf
+from .special import norm_cdf, norm_cdf_int, norm_pdf
 from .theory import (
     AssetUniverse,
     CriticalPoint,
@@ -97,5 +97,4 @@ __all__ = [
     "norm_pdf",
     "norm_cdf",
     "norm_cdf_int",
-    "norm_cdf_int2",
 ]

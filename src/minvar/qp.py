@@ -27,11 +27,13 @@ batch of B enters the factor as one block, in O(k^2 B): one triangular
 solve for its B new columns and a Cholesky factor of its B x B Schur
 complement. A drop restores the factor in place with Givens rotations, in
 O(k^2). An asset in the affine hull of the corral and the batch assets
-before it would give a zero pivot. Then the block is refused and the batch
-enters one asset at a time: its first asset, if in the corral's hull,
-swaps weight with the member it can replace, and later assets in the hull
-are skipped. Each gradient C w is one symmetric product that reads one
-triangle of C. The solve never factors C itself: a degenerate result says
+before it would give a zero pivot, so the block stops before it: the
+assets ahead of it enter, and the rest of the batch after it enters as
+the next block. Such an asset is skipped, unless it leads the batch: then
+it swaps weight with the member it can replace and enters in that
+member's stead. Every add, of one asset or of many, is one block. Each
+gradient C w is one symmetric product that reads one triangle of C. The
+solve never factors C itself: a degenerate result says
 only that the optimum has zero variance, and `CovMatrix.rank` gives
 rank(C) to a caller who wants it.
 
@@ -80,9 +82,8 @@ FLAT_RTOL = 1e-24
 # the Cython core under scipy's batching wrapper of qr_delete (see _Corral)
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
-# corral's affine hull; it is never pivoted on: a block holding one is
-# refused, and one asset at a time the first asset of a batch is swapped in,
-# a later one skipped
+# corral's affine hull; it is never pivoted on: a block stops before it, and
+# it is swapped in if it leads its batch, else skipped
 PIVOT_RTOL = 1e-12
 # a major step of the no-short solver adds up to ADD_BATCH max(1, N // 500)
 # improving assets from one gradient (one product C w) before its minor
@@ -92,11 +93,13 @@ PIVOT_RTOL = 1e-12
 # interleaved, median of 7, 5 and 3 passes over 30, 10 and 3 trials per r):
 #
 #   batch size      1      4      8     12     16     24
-#   N = 100      2.86   1.90   1.98   2.11   2.64
-#   N = 400      21.3   11.5   8.45   9.32   9.25
+#   N = 100      3.71   1.90   1.98   2.11   2.64
+#   N = 400      24.4   11.5   8.45   9.32   9.25
 #   N = 1000            111    80.3   71.4   68.9   68.2
 #
-# Below N = 1000, 8 is within noise of the best; at N = 1000, 16 is.
+# Below N = 1000, 8 is within noise of the best; at N = 1000, 16 is. Every
+# add is one block, a batch of one too; the batch-1 column was re-measured
+# so (batches of 4 and 8 read within 0.3 ms of the table in the same run).
 ADD_BATCH = 8
 
 
@@ -325,17 +328,14 @@ class _Corral:
     on that view, with no copy, and adds and drops work in place. y holds
     R'^-1 1, which gives the affine minimizer through one more solve.
 
-    A batch of B assets enters as one block when it can (`extend`): one
-    gather of C[batch, members + batch] + rho, one dtrtrs for all B new
-    columns (a level-3 triangular solve), a dpotrf of the B x B Schur
-    complement, and one B-length solve for y's new entries. The block is
-    all or nothing: if a squared pivot of the Schur factor is at most
-    PIVOT_RTOL * M_jj, some asset lies in the affine hull of the corral and
-    the batch before it, and the solver adds the batch one asset at a time
-    instead. There `pivot` gathers C[j, f] + rho into the spare column k and
-    solves it in place, so `add` only writes the pivot below it; an asset in
-    the hull is swapped in if it leads the batch, else skipped. A drop
-    borrows the same spare column for y.
+    A batch of B assets enters as one block (`extend`): one gather of
+    C[batch, members + batch] + rho, one dtrtrs for all B new columns (a
+    level-3 triangular solve), a dpotrf of the B x B Schur complement, and
+    one solve for y's new entries. If a squared pivot of the Schur factor is
+    at most PIVOT_RTOL * M_jj, that asset lies in the affine hull of the
+    corral and the batch assets before it; the block is then cut to the
+    assets before it, the leading block of the columns and factor already
+    formed. A drop borrows the spare column k of R for y.
 
     A drop calls qr_delete's Cython core directly: scipy's wrapper around
     it broadcasts over batches of matrices, which a drop's single 2-D block
@@ -372,58 +372,60 @@ class _Corral:
         """R^-1 x, or R'^-1 x with trans=1."""
         return dtrtrs(self.r[:, : self.k], x, trans=trans)[0]
 
-    def extend(self, batch: np.ndarray) -> bool:
-        """Append the assets of `batch` as one block; False, and no change, if refused.
+    def extend(self, batch: np.ndarray) -> tuple[int, np.ndarray]:
+        """Append the longest prefix of `batch` that the factor takes, as one block.
 
-        The block is refused when a squared pivot of its Schur factor is at
-        most PIVOT_RTOL * M_jj (or dpotrf meets a nonpositive one).
+        The prefix ends before the first asset whose squared Schur pivot is
+        at most PIVOT_RTOL * M_jj, or where dpotrf meets a nonpositive one.
+        Returns its length p, the number of assets added, and the k x B
+        block R'^-1 (C[members, batch] + rho) solved on the corral as it
+        was, whose column 0 is the first asset's factor column when p = 0.
         """
         k, nb = self.k, batch.size
-        # C[batch, members + batch] + rho in one gather; its transpose is the
+        # idx past the members is scratch: with the batch written there,
+        # C[batch, members + batch] + rho is one gather. Its transpose is the
         # column-major (k + B) x B block whose first k rows dtrtrs solves in
         # place, R' L = C[members, batch] + rho, under M[batch, batch]
-        cols = np.concatenate((self.members, batch))
-        g = self.cm.take(batch, axis=0).take(cols, axis=1)
+        self.idx[k : k + nb] = batch
+        g = self.cm.take(batch, axis=0).take(self.idx[: k + nb], axis=1)
         g += self.rho
         lm = dtrtrs(self.r[:, :k], g.T, trans=1, overwrite_b=1)[0]
         l, m = lm[:k], lm[k:]
         # upper Cholesky factor of the Schur complement M_bb - L'L, which is
-        # symmetric: its transpose is column-major, and dpotrf works in place
+        # symmetric: its transpose is column-major, and dpotrf works in place.
+        # Its leading p x p block is the factor of the prefix's complement.
         s = m - l.T @ l
         d, info = dpotrf(s.T, overwrite_a=1)
-        if info or not (d.diagonal() ** 2 > PIVOT_RTOL * m.diagonal()).all():
-            return False
-        self.r[:k, k : k + nb] = l
-        self.r[k : k + nb, k : k + nb] = d
-        self.y[k : k + nb] = dtrtrs(d, 1.0 - self.y[:k] @ l, trans=1)[0]
-        self.idx[k : k + nb] = batch
-        self.mask[batch] = True
-        self.k = k + nb
-        return True
+        good = d.diagonal() ** 2 > PIVOT_RTOL * m.diagonal()
+        p = info - 1 if info else nb
+        if not good[:p].all():
+            p = int(good.argmin())
+        if p:
+            d = d[:p, :p]
+            self.r[:k, k : k + p] = l[:, :p]
+            self.r[k : k + p, k : k + p] = d
+            self.y[k : k + p] = dtrtrs(d, 1.0 - self.y[:k] @ l[:, :p], trans=1)[0]
+            self.mask[batch[:p]] = True
+            self.k = k + p
+        return p, l
 
-    def pivot(self, j: int) -> tuple[np.ndarray, float, float]:
-        """New factor column l of asset j, its squared pivot d2, and M_jj.
+    def swap(self, j: int, l: np.ndarray, w: np.ndarray) -> None:
+        """Move weight of w onto outside asset j and drop the member emptied first.
 
-        l is solved in place in the spare column of R, a view that the
-        next pivot or drop overwrites.
+        j lies (numerically) in the corral's affine hull, x_j = X_f c with
+        sum(c) = 1, and l is its factor column, so c = M^-1 m_j = R^-1 l.
+        Weight moves along the objective-neutral direction e_j - c until a
+        member empties; its coefficient is clear of rounding, so once it is
+        dropped j pivots on a nonzero.
         """
-        k = self.k
-        mjj = self.cm[j, j] + self.rho
-        # the members are valid indices; mode="clip" spares take's buffer
-        l = self.cm[j].take(self.members, out=self.r[:k, k], mode="clip")
-        l += self.rho
-        dtrtrs(self.r[:, :k], self.r[:, k : k + 1], trans=1, overwrite_b=1)
-        return l, mjj - float(l @ l), mjj
-
-    def add(self, j: int, d2: float) -> None:
-        """Append asset j with the column that pivot(j) left in place."""
-        k = self.k
-        d = math.sqrt(d2)
-        self.r[k, k] = d
-        self.y[k] = (1.0 - float(self.r[:k, k] @ self.y[:k])) / d
-        self.idx[k] = j
-        self.mask[j] = True
-        self.k = k + 1
+        f = self.members
+        coef = self.solve(l)
+        pos = (coef > 1e-9).nonzero()[0]
+        q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
+        w[f] = np.maximum(w[f] - t * coef, 0.0)
+        w[f[q]] = 0.0
+        w[j] = t
+        self.drop(q)
 
     def drop(self, q: int) -> None:
         """Remove the member at factor position q, in O(k (k - q))."""
@@ -478,20 +480,20 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     Wolfe's min-norm-point method in weight form. The corral starts as the
     single asset of smallest variance. Each major step adds, from one
     gradient, up to ADD_BATCH max(1, N // 500) outside assets with negative
-    multipliers, ordered by (multiplier, asset index): as one block of the
-    factor when none lies in the affine hull of the corral, else one at a
-    time, skipping those in the hull. Minor steps then drop the corral
-    members that block the way to the corral's affine minimizer. A new
-    member whose affine weight is negative leaves at step length 0, and by
-    Wolfe's lemma the last new member left keeps a positive weight, so the
-    objective falls strictly at every major step and the method terminates
-    as with single adds. Assets outside the corral have exactly zero weight
-    in the result, and `iterations` counts adds plus drops. Flat
-    (zero-variance) optima are detected from the final objective against
-    the scaled threshold and flagged, never regularized; they end with at
-    most rank(C) + 1 corral members. Raises ValueError on a budget that is
-    negative or not finite, and ActiveSetError if the step cap (50 N) is
-    exhausted.
+    multipliers, ordered by (multiplier, asset index), as blocks of the
+    factor that skip each asset in the affine hull of the corral and the
+    assets added before it; the first asset, if in the hull, swaps in for a
+    member instead. Minor steps then drop the corral members that block the
+    way to the corral's affine minimizer. A new member whose affine weight
+    is negative leaves at step length 0, and by Wolfe's lemma the last new
+    member left keeps a positive weight, so the objective falls strictly at
+    every major step and the method terminates as with single adds. Assets
+    outside the corral have exactly zero weight in the result, and
+    `iterations` counts adds plus drops. Flat (zero-variance) optima are
+    detected from the final objective against the scaled threshold and
+    flagged, never regularized; they end with at most rank(C) + 1 corral
+    members. Raises ValueError on a budget that is negative or not finite,
+    and ActiveSetError if the step cap (50 N) is exhausted.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -510,21 +512,30 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     w[i0] = b
     steps = 0
 
-    def failure(reason: str, mu_min: float) -> ActiveSetError:
+    def failure(reason: str, mu_min: float, k: int = None) -> ActiveSetError:
+        """The error at the corral's first k members (all by default)."""
+        free = corral.members[:k]
         gap = abs(float(np.sum(w)) - b)
         return ActiveSetError(
-            f"{reason} with {corral.k} assets free, most negative "
+            f"{reason} with {free.size} assets free, most negative "
             f"multiplier {mu_min:.3e}, budget gap {gap:.3e}",
-            iterate=corral.members.tolist(),
+            iterate=free.tolist(),
             residual=(mu_min, gap),
         )
 
     def count_step() -> None:
-        """Count one add or drop; the failure reports the batch's first multiplier."""
+        """Count one drop, before it; the failure reports the batch's first multiplier."""
         nonlocal steps
         if steps >= cap:
             raise failure(f"active-set cap {cap} reached", mu_min)
         steps += 1
+
+    def count_adds(added: int) -> None:
+        """Count the adds just made; past the cap, fail at the corral the cap left."""
+        nonlocal steps
+        steps += added
+        if steps > cap:
+            raise failure(f"active-set cap {cap} reached", mu_min, corral.k - (steps - cap))
 
     size = ADD_BATCH * max(1, n // 500)
     cmt = cm.T  # column-major, so dsymv reads one triangle of C in place
@@ -538,41 +549,23 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         if batch.size == 0:
             break
         mu_min = float(mu[batch[0]])
-        # the whole batch as one block when it fits under the cap and has no
-        # asset in the affine hull; otherwise one asset at a time
-        if batch.size > 1 and steps + batch.size <= cap and corral.extend(batch):
-            steps += batch.size
-        else:
-            for i, j in enumerate(batch.tolist()):
-                l, d2, mjj = corral.pivot(j)
-                if d2 <= PIVOT_RTOL * mjj:
-                    if i > 0:
-                        # the swap below moves w along a null direction of C
-                        # (to the pivot tolerance), so the rest of the batch
-                        # keeps its multipliers; a later member in the
-                        # corral's affine hull is skipped, not swapped
-                        continue
-                    # j lies (numerically) in the corral's affine hull,
-                    # x_j = X_f c with sum(c) = 1: move weight onto j along the
-                    # objective-neutral direction e_j - c and drop the member
-                    # that empties first, whose coefficient is clear of
-                    # rounding, so j pivots on a nonzero
-                    f = corral.members
-                    # M^-1 m_j, before the drop reuses l's column
-                    coef = corral.solve(l)
-                    pos = (coef > 1e-9).nonzero()[0]
-                    q, t = _first_blocking(pos, w[f[pos]] / coef[pos], f)
-                    w[f] = np.maximum(w[f] - t * coef, 0.0)
-                    w[f[q]] = 0.0
-                    w[j] = t
-                    count_step()
-                    corral.drop(q)
-                    l, d2, mjj = corral.pivot(j)
-                    if not d2 > 0.0:
-                        raise failure(f"asset {j} stays affinely dependent",
-                                      mu_min)
+        # each block ends before an asset in the affine hull of the corral
+        # and the assets ahead of it; the rest of the batch after it is the
+        # next block. That asset is skipped, unless it leads the batch: then
+        # it is swapped in, along a null direction of C (to the pivot
+        # tolerance), so the rest of the batch keeps its multipliers
+        i = 0
+        while i < batch.size:
+            added, l = corral.extend(batch[i:])
+            if added == 0 == i:
+                j = int(batch[0])
                 count_step()
-                corral.add(j, d2)
+                corral.swap(j, l[:, 0], w)
+                if not corral.extend(batch[:1])[0]:
+                    raise failure(f"asset {j} stays affinely dependent", mu_min)
+                count_adds(1)
+            count_adds(added)
+            i += added + 1
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members

@@ -1,25 +1,24 @@
 """Iterated integrals of the standard normal density.
 
 The saddle-point equations of this package are written in terms of the
-standard normal pdf and its first three antiderivatives:
+standard normal pdf and its first two antiderivatives:
 
     norm_pdf(x)      = exp(-x^2/2) / sqrt(2*pi)
     norm_cdf(x)      = integral of norm_pdf over (-inf, x]
     norm_cdf_int(x)  = integral of norm_cdf over (-inf, x]
                      = x * norm_cdf(x) + norm_pdf(x)
-    norm_cdf_int2(x) = integral of norm_cdf_int over (-inf, x]
-                     = ((x^2 + 1) * norm_cdf(x) + x * norm_pdf(x)) / 2
 
-All four are evaluated through scipy's minimax erfc, so relative error is
+The next integral, ((x^2 + 1) * norm_cdf(x) + x * norm_pdf(x)) / 2, is
+formed inline by `minvar.theory` from the same cdf and pdf values.
+
+All three are evaluated through scipy's minimax erfc, so relative error is
 at machine precision and the x -> -inf tails underflow cleanly to zero
 (no asymptotic-series switchover is needed: every factor multiplying the
 erfc tail is polynomial, and the tail itself decays like a Gaussian).
 
-Useful identities, exercised by the test suite:
+A useful identity, exercised by the test suite:
 
-    norm_cdf_int(x)  - norm_cdf_int(-x)  = x
-    norm_cdf_int2(x) + norm_cdf_int2(-x) = (x^2 + 1) / 2
-    norm_cdf_int2(x) = (x * norm_cdf_int(x) + norm_cdf(x)) / 2
+    norm_cdf_int(x) - norm_cdf_int(-x) = x
 
 All functions accept scalars or numpy arrays and broadcast elementwise.
 """
@@ -57,14 +56,3 @@ def norm_cdf_int(x):
     out = x * norm_cdf(x) + norm_pdf(x)
     return out if out.ndim else float(out)
 
-
-def norm_cdf_int2(x):
-    """Second antiderivative of the normal cdf, zero at -inf.
-
-    Equals ((x^2 + 1) * cdf(x) + x * pdf(x)) / 2; at x = 0 its value is
-    exactly 1/4, which pins the critical ratio r = 2 of the constrained
-    theory. Grows like (x^2 + 1)/2 for large positive x.
-    """
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * ((x * x + 1.0) * norm_cdf(x) + x * norm_pdf(x))
-    return out if out.ndim else float(out)

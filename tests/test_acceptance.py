@@ -36,7 +36,13 @@ from minvar import (
 )
 from minvar import theory
 from minvar.cli import main, read_table
-from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
+from minvar.special import norm_cdf, norm_cdf_int, norm_pdf
+
+
+def norm_cdf_int2(x):
+    """Second integral of the normal cdf, ((x^2 + 1) cdf(x) + x pdf(x)) / 2, as theory forms it."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * ((x * x + 1.0) * norm_cdf(x) + x * norm_pdf(x))
 
 
 def _check(fails, cond, msg):

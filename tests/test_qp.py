@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from minvar import (
@@ -224,8 +225,7 @@ def test_drop_through_the_zero_q_matches_an_identity_q(monkeypatch):
     corrals = []
     for _ in range(2):
         corral = qp._Corral(cm, rho, 0)
-        for j in range(1, n):
-            corral.add(j, corral.pivot(j)[1])
+        assert corral.extend(np.arange(1, n))[0] == n - 1
         corrals.append(corral)
     zq, ref = corrals
     core = qp._qr_delete
@@ -254,31 +254,34 @@ def _assert_factor_holds(corral, cm, rho):
 
 
 def test_extend_matches_per_asset_adds():
-    # a block of B assets leaves the factor and y that B single adds leave,
-    # batch after batch, in the same member order
+    # batch after batch, a block leaves the factor that adding its assets
+    # one at a time would: R = chol(C_ff + rho 11')', unique, and
+    # y = R'^-1 1 over the members, in member order
     n = 80
     cm = CovMatrix.from_returns(_panel(n, 2 * n)).matrix
     rho = float(np.trace(cm)) / n
-    block, single = qp._Corral(cm, rho, 0), qp._Corral(cm, rho, 0)
+    corral = qp._Corral(cm, rho, 0)
+    members = [0]
     order = np.random.default_rng(4).permutation(np.arange(1, n))
     for batch in np.split(order, [12, 20, 45, 57]):  # B = 12, 8, 25, 12, 22
-        assert block.extend(batch)
-        for j in batch.tolist():
-            single.add(j, single.pivot(j)[1])
-        k = block.k
-        assert block.members.tolist() == single.members.tolist()
-        assert np.array_equal(block.mask, single.mask)
-        for corral in (block, single):
-            _assert_factor_holds(corral, cm, rho)
-        assert np.allclose(np.triu(block.r[:k, :k]), np.triu(single.r[:k, :k]),
-                           rtol=0, atol=1e-12 * float(np.max(np.abs(single.r[:k, :k]))))
-        assert np.allclose(block.y[:k], single.y[:k], rtol=1e-12, atol=0)
+        assert corral.extend(batch)[0] == batch.size
+        members += batch.tolist()
+        k = corral.k
+        assert corral.members.tolist() == members
+        assert np.flatnonzero(corral.mask).tolist() == sorted(members)
+        ref = np.linalg.cholesky(cm[np.ix_(members, members)] + rho).T
+        y = scipy.linalg.solve_triangular(ref, np.ones(k), trans=1)
+        assert np.allclose(np.triu(corral.r[:k, :k]), ref,
+                           rtol=0, atol=1e-12 * float(np.max(np.abs(ref))))
+        assert np.allclose(corral.y[:k], y, rtol=1e-12, atol=0)
+        _assert_factor_holds(corral, cm, rho)
 
 
 def test_extend_refuses_a_batch_with_an_asset_in_the_affine_hull():
     # asset 30 copies member 5, and asset 31 copies asset 32 of the same
-    # batch, each up to 1e-9 noise: either batch is refused whole, and the
-    # corral is left exactly as it was
+    # batch, each up to 1e-9 noise. Each batch is refused from the copy on:
+    # its prefix enters, and leaves the corral as extending by that prefix
+    # alone does
     n = 40
     x = _panel(n, 2 * n)
     rng = np.random.default_rng(9)
@@ -286,15 +289,20 @@ def test_extend_refuses_a_batch_with_an_asset_in_the_affine_hull():
     x[31] = x[32] + 1e-9 * rng.standard_normal(2 * n)
     cm = CovMatrix.from_returns(x).matrix
     rho = float(np.trace(cm)) / n
-    corral = qp._Corral(cm, rho, 0)
-    assert corral.extend(np.arange(1, 12))
-    for batch in ([20, 30, 21], [31, 22, 32]):
-        before = [a.copy() for a in (corral.r, corral.y, corral.idx, corral.mask)]
+    corral, ref = qp._Corral(cm, rho, 0), qp._Corral(cm, rho, 0)
+    for c in (corral, ref):
+        assert c.extend(np.arange(1, 12))[0] == 11
+    for batch, prefix in (([20, 30, 21], [20]), ([31, 22, 32], [31, 22])):
+        assert corral.extend(np.array(batch))[0] == len(prefix)
+        assert ref.extend(np.array(prefix))[0] == len(prefix)
         k = corral.k
-        assert not corral.extend(np.array(batch))
-        assert corral.k == k
-        for a, b in zip(before, (corral.r, corral.y, corral.idx, corral.mask)):
-            assert a.tobytes() == b.tobytes()
+        assert corral.members.tolist()[-len(prefix):] == prefix
+        assert corral.members.tolist() == ref.members.tolist()
+        assert np.array_equal(corral.mask, ref.mask)
+        # to rounding: a block of three runs other BLAS kernels than one of one
+        for a, b in ((np.triu(corral.r[:k, :k]), np.triu(ref.r[:k, :k])),
+                     (corral.y[:k], ref.y[:k])):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
     _assert_factor_holds(corral, cm, rho)
 
 
@@ -655,26 +663,14 @@ def test_noshort_matches_brute_force_on_panels(n, t, seed, duplicate, sigma_spre
 
 
 def _trace_swaps(monkeypatch) -> list[int]:
-    """Corral sizes at which a hull swap ran, appended as the solver runs.
+    """Corral sizes at which a hull swap ran, appended as the solver runs."""
+    swap, swaps = qp._Corral.swap, []
 
-    A swap, and nothing else, solves with the column the pivot has just
-    returned.
-    """
-    pivot, solve = qp._Corral.pivot, qp._Corral.solve
-    last, swaps = [None], []
+    def traced_swap(self, *args):
+        swaps.append(self.k)
+        return swap(self, *args)
 
-    def traced_pivot(self, j):
-        out = pivot(self, j)
-        last[0] = out[0]
-        return out
-
-    def traced_solve(self, v, trans=0):
-        if v is last[0]:
-            swaps.append(self.k)
-        return solve(self, v, trans)
-
-    monkeypatch.setattr(qp._Corral, "pivot", traced_pivot)
-    monkeypatch.setattr(qp._Corral, "solve", traced_solve)
+    monkeypatch.setattr(qp._Corral, "swap", traced_swap)
     return swaps
 
 

@@ -31,7 +31,7 @@ from minvar import (
     true_optimum,
     unconstrained_solution,
 )
-from minvar.special import norm_cdf, norm_cdf_int, norm_cdf_int2
+from minvar.special import norm_cdf, norm_cdf_int, norm_pdf
 from minvar import theory
 from minvar.theory import (
     CRITICAL_MARGIN,
@@ -41,6 +41,12 @@ from minvar.theory import (
     _newton_right,
     _saddle_residual,
 )
+
+
+def norm_cdf_int2(x):
+    """Second integral of the normal cdf, ((x^2 + 1) cdf(x) + x pdf(x)) / 2, as theory forms it."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * ((x * x + 1.0) * norm_cdf(x) + x * norm_pdf(x))
 
 
 # ---------------------------------------------------------------------------
