@@ -39,7 +39,7 @@ from .errors import (
     NoConvergenceError,
     PhaseBoundaryError,
 )
-from .mc import WEIGHT_ZERO_RTOL, bin_grid, sweep, weight_histogram
+from .mc import OBSERVABLES, POINT_FIELDS, WEIGHT_ZERO_RTOL, bin_grid, sweep, weight_histogram
 from .theory import AssetUniverse, RegularizerParams, general_l1_solve
 from .weights import build_mixture
 
@@ -285,19 +285,10 @@ def cmd_replica(args) -> int:
     return EXIT_OK
 
 
-SIMULATE_FIELDS = [
-    "r_requested", "r", "t", "n", "trials",
-    "lambda_hat_mean", "lambda_hat_se",
-    "q0_tilde_hat_mean", "q0_tilde_hat_se",
-    "zero_fraction_mean", "zero_fraction_se",
-    "objective_mean", "objective_se",
-    "zero_variance_probability", "zero_variance_se",
-]
-
-PHASE_FIELDS = [
-    "r_requested", "r", "t", "n", "trials",
-    "zero_variance_probability", "zero_variance_se",
-]
+_POINT_COLUMNS = [name for name, _ in POINT_FIELDS]
+SIMULATE_FIELDS = [*_POINT_COLUMNS, *(c for o in OBSERVABLES for c in o.columns)]
+# the phase columns: the shares of the boolean observables
+PHASE_FIELDS = [*_POINT_COLUMNS, *(c for o in OBSERVABLES if o.boolean for c in o.columns)]
 
 
 def cmd_simulate(args) -> int:
@@ -381,9 +372,6 @@ def cmd_weights(args) -> int:
 
 COMPARE_FIELDS = ["r", "metric", "analytic", "mc_mean", "mc_se", "z", "within_3se"]
 
-# analytic column -> simulated observable, reported as <name>_mean and <name>_se
-_COMPARE_METRICS = {"lambda": "lambda_hat", "q0_tilde": "q0_tilde_hat", "n0": "zero_fraction"}
-
 
 def _zscore(diff: float, se: float, ref: float) -> float:
     if se > 0:
@@ -406,9 +394,9 @@ def cmd_compare(args) -> int:
                 "achieved grid r = N/T)"
             )
         arow = match[0]
-        for metric, name in _COMPARE_METRICS.items():
-            mcol, scol = f"{name}_mean", f"{name}_se"
-            if arow.get(metric) is None or srow.get(mcol) is None:
+        for o in OBSERVABLES:
+            metric, (mcol, scol) = o.estimates, o.columns
+            if metric is None or arow.get(metric) is None or srow.get(mcol) is None:
                 continue
             diff = srow[mcol] - arow[metric]
             z = _zscore(diff, srow[scol], arow[metric])

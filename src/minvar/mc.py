@@ -4,13 +4,11 @@ One trial draws an (N, T) panel of independent Gaussian returns with
 per-asset variances sigma_i^2 / N, forms the second-moment matrix
 C = X X' / T (means are known to be zero, so nothing is centered), solves
 the requested finite-size optimizer under the budget sum(w) = N, and
-reports the observables the theory predicts:
-
-    lambda_hat   = (w' C w) / r      -> the budget multiplier lam
-    q0_tilde_hat = sum(sigma^2 w^2) / sum(sigma^2 w*^2)
-                                     -> the risk inflation q0_tilde
-    zero_fraction                    -> the condensed fraction n0
-    degenerate                       -> the zero-variance (flat) phase flag
+evaluates the observables the theory predicts. `OBSERVABLES` declares each
+one once: its value in a trial, its reduction over a grid point's trials,
+and the replica column it estimates. The fields of `SampleMetrics` and
+`PointSummary`, and the columns of `simulate`, `phase` and `compare`, are
+read from it.
 
 Determinism contract: every trial's stream is Philox keyed by
 SeedSequence(seed, spawn_key=(trial_index,)), trial indices are assigned
@@ -23,13 +21,14 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
 from .errors import ActiveSetError
-from .qp import CovMatrix, min_variance_equality, min_variance_noshort
+from .qp import CovMatrix, QpResult, min_variance_equality, min_variance_noshort
 from .theory import AssetUniverse, as_universe, true_optimum
 
 __all__ = [
@@ -72,39 +71,74 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class SampleMetrics:
-    """Observables of one trial; weights kept for pooled histograms."""
+class Observable:
+    """One Monte Carlo observable: a field of each trial, two columns per grid point.
 
-    r: float
-    t: int
-    lambda_hat: float
-    q0_tilde_hat: float
-    zero_fraction: float
-    objective: float
-    degenerate: bool
-    weights: np.ndarray
+    `value(cfg, res)` is its value in trial `cfg`, whose solver returned `res`.
+    A float reduces to `<name>_mean` and `<name>_se` (sample SD / sqrt(trials)),
+    a boolean to the share `<name>_probability` and its binomial `<name>_se`.
+    `compare` checks the mean against the `replica` column `estimates` names.
+    """
+
+    name: str
+    value: Callable[[TrialConfig, QpResult], float | bool]
+    estimates: str | None = None
+    boolean: bool = False
+
+    @property
+    def columns(self) -> tuple[str, str]:
+        return f"{self.name}_{'probability' if self.boolean else 'mean'}", f"{self.name}_se"
+
+    def reduce(self, values: np.ndarray) -> tuple[float, float]:
+        """The two columns' values from the trial-ordered `values`."""
+        m = float(np.mean(values))
+        if self.boolean:
+            return m, math.sqrt(m * (1.0 - m) / values.size)
+        if values.size < 2:
+            return m, 0.0
+        return m, float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-@dataclass(frozen=True)
-class PointSummary:
-    """Aggregates of one grid point; SEs use the sample standard deviation."""
+# In column order. The zero threshold of a weight scales with the mean
+# weight budget/N, which is 1 here.
+OBSERVABLES = (
+    # w'Cw / r -> the budget multiplier lam
+    Observable("lambda_hat", lambda cfg, res: res.objective / cfg.r, "lambda"),
+    # sum(sigma^2 w^2) / sum(sigma^2 w*^2) -> the risk inflation q0_tilde
+    Observable(
+        "q0_tilde_hat",
+        lambda cfg, res: float(cfg.universe._sig**2 @ (res.weights * res.weights))
+        / true_optimum(cfg.universe).risk,
+        "q0_tilde",
+    ),
+    # the share of weights at most WEIGHT_ZERO_RTOL -> the condensed fraction n0
+    Observable("zero_fraction",
+               lambda cfg, res: float(np.mean(np.abs(res.weights) <= WEIGHT_ZERO_RTOL)), "n0"),
+    Observable("objective", lambda cfg, res: res.objective),
+    # a zero-variance (flat) optimum
+    Observable("zero_variance", lambda cfg, res: res.degenerate, boolean=True),
+)
 
-    r_requested: float
-    r: float
-    t: int
-    n: int
-    trials: int
-    lambda_hat_mean: float
-    lambda_hat_se: float
-    q0_tilde_hat_mean: float
-    q0_tilde_hat_se: float
-    zero_fraction_mean: float
-    zero_fraction_se: float
-    objective_mean: float
-    objective_se: float
-    zero_variance_probability: float
-    zero_variance_se: float
-    weights: np.ndarray | None = None
+SampleMetrics = make_dataclass(
+    "SampleMetrics",
+    [("r", float), ("t", int), *((o.name, bool if o.boolean else float) for o in OBSERVABLES),
+     ("weights", np.ndarray)],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Observables of one trial, a field per "
+               "entry of OBSERVABLES; weights kept for pooled histograms."},
+)
+
+# a grid point's own columns, ahead of its observables'
+POINT_FIELDS = (("r_requested", float), ("r", float), ("t", int), ("n", int), ("trials", int))
+
+PointSummary = make_dataclass(
+    "PointSummary",
+    [*POINT_FIELDS, *((c, float) for o in OBSERVABLES for c in o.columns),
+     ("weights", np.ndarray | None, None)],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Aggregates of one grid point, two "
+               "columns per entry of OBSERVABLES, as `Observable` defines them."},
+)
 
 
 @dataclass(frozen=True)
@@ -131,9 +165,8 @@ def generate_returns(cfg: TrialConfig) -> np.ndarray:
 
 
 def run_trial(cfg: TrialConfig) -> SampleMetrics:
-    """Draw one panel, optimize, and evaluate the trial observables."""
-    uni = cfg.universe
-    n = uni.n
+    """Draw one panel, optimize, and evaluate every entry of OBSERVABLES."""
+    n = cfg.universe.n
     x = generate_returns(cfg)
     cov = CovMatrix.from_returns(x)
     if cfg.constraint == "equality":
@@ -147,30 +180,10 @@ def run_trial(cfg: TrialConfig) -> SampleMetrics:
                 f"seed {cfg.seed}): {exc}",
                 iterate=exc.iterate, residual=exc.residual,
             ) from exc
-    w = res.weights
-    r = cfg.r
-    sig2 = uni._sig**2
-    ref = true_optimum(uni)
-    q0_tilde_hat = float(sig2 @ (w * w)) / ref.risk
-    # zero threshold scales with the mean weight budget/N, which is 1 here
-    zero_fraction = float(np.mean(np.abs(w) <= WEIGHT_ZERO_RTOL))
     return SampleMetrics(
-        r=r,
-        t=cfg.t,
-        lambda_hat=res.objective / r,
-        q0_tilde_hat=q0_tilde_hat,
-        zero_fraction=zero_fraction,
-        objective=res.objective,
-        degenerate=res.degenerate,
-        weights=w,
+        r=cfg.r, t=cfg.t, **{o.name: o.value(cfg, res) for o in OBSERVABLES},
+        weights=res.weights,
     )
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(values))
-    if values.size < 2:
-        return m, 0.0
-    return m, float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def sweep(
@@ -217,28 +230,14 @@ def sweep(
             ]
             metrics = list(run(run_trial, cfgs))
             stats = {}
-            for name in ("lambda_hat", "q0_tilde_hat", "zero_fraction", "objective"):
-                stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se(
-                    np.array([getattr(m, name) for m in metrics])
-                )
-            p = float(np.mean([m.degenerate for m in metrics]))
-            p_se = math.sqrt(p * (1.0 - p) / trials)
+            for o in OBSERVABLES:
+                values = np.array([getattr(m, o.name) for m in metrics])
+                stats.update(zip(o.columns, o.reduce(values)))
             pooled = (
                 np.concatenate([m.weights for m in metrics]) if keep_weights else None
             )
-            points.append(
-                PointSummary(
-                    r_requested=r_req,
-                    r=uni.n / t,
-                    t=t,
-                    n=uni.n,
-                    trials=trials,
-                    **stats,
-                    zero_variance_probability=p,
-                    zero_variance_se=p_se,
-                    weights=pooled,
-                )
-            )
+            points.append(PointSummary(r_requested=r_req, r=uni.n / t, t=t, n=uni.n,
+                                       trials=trials, **stats, weights=pooled))
     return SweepSummary(
         universe=uni, constraint=constraint, seed=seed, trials=trials,
         points=tuple(points),

@@ -236,7 +236,8 @@ def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     top = float(np.max(np.diagonal(m)))
     if top < 0.0:
         raise CovarianceError("covariance has a negative diagonal")
-    f, piv, rank, _ = dpstrf(m, tol=RANK_RTOL * top, lower=1)
+    # m is exactly symmetric, so its F-ordered transpose is m; f2py copies it straight
+    f, piv, rank, _ = dpstrf(m.T, tol=RANK_RTOL * top, lower=1)
     return f, piv - 1, rank
 
 

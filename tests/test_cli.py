@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from minvar import NoConvergenceError, unconstrained_solution, noshort_solution
-from minvar import AssetUniverse, sweep, weight_histogram
+from minvar import AssetUniverse, TrialConfig, run_trial, sweep, weight_histogram
 from minvar.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -298,6 +298,40 @@ def test_phase_curve(tmp_path):
     assert rows[1]["zero_variance_probability"] > 0.5
     for row in rows:
         assert 0.0 <= row["zero_variance_probability"] <= 1.0
+
+
+def test_monte_carlo_columns_and_attributes_are_pinned(tmp_path):
+    # literal lists: the derived SIMULATE_FIELDS and PHASE_FIELDS must keep them
+    simulate = [
+        "r_requested", "r", "t", "n", "trials",
+        "lambda_hat_mean", "lambda_hat_se", "q0_tilde_hat_mean", "q0_tilde_hat_se",
+        "zero_fraction_mean", "zero_fraction_se", "objective_mean", "objective_se",
+        "zero_variance_probability", "zero_variance_se",
+    ]
+    phase = ["r_requested", "r", "t", "n", "trials",
+             "zero_variance_probability", "zero_variance_se"]
+    grid = ["--r-grid", "0.5,1.0", "--n", "4"]
+    for command, columns in (("simulate", simulate), ("phase", phase)):
+        out = tmp_path / f"{command}.csv"
+        argv = [command, *grid, "--trials", "3", "--seed", "1"]
+        assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+        assert out.read_text().splitlines()[1].split(",") == columns
+        assert run_cli(*argv, "--format", "json", "--out", str(out) + ".json") == EXIT_OK
+        rows = json.loads((tmp_path / f"{command}.csv.json").read_text())["rows"]
+        assert [list(row) for row in rows] == [columns, columns]
+    rep, z = tmp_path / "rep.csv", tmp_path / "z.csv"
+    assert run_cli("replica", *grid, "--out", str(rep)) == EXIT_OK
+    assert run_cli("compare", str(rep), str(tmp_path / "simulate.csv"), "--out", str(z)) == EXIT_OK
+    assert [(row["r"], row["metric"]) for row in read_table(str(z))[1]] == [
+        (r, metric) for r in (0.5, 1.0) for metric in ("lambda", "q0_tilde", "n0")
+    ]
+    # the attributes that the tests and README's library tour read
+    uni = AssetUniverse.constant(1.0, 4)
+    point = sweep(uni, [0.5], trials=2, constraint="noshort", seed=1).points[0]
+    assert all(hasattr(point, name) for name in [*simulate, "weights"])
+    trial = run_trial(TrialConfig(universe=uni, t=8, constraint="noshort", seed=1, trial_index=0))
+    assert all(hasattr(trial, name) for name in
+               ("r", "t", "lambda_hat", "q0_tilde_hat", "zero_fraction", "objective", "weights"))
 
 
 # ---------------------------------------------------------------------------

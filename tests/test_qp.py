@@ -105,13 +105,16 @@ def test_matrix_is_readonly():
 
 def test_constructor_keeps_one_c_ordered_symmetrised_copy():
     rng = np.random.default_rng(3)
-    m = rand_psd(rng, 6)
-    m[0, 1] += 1e-14  # asymmetric within the 1e-12 gate
-    for src in (m, np.asfortranarray(m)):
-        c = CovMatrix(src).matrix
-        assert np.array_equal(c, 0.5 * (m + m.T))
-        assert c.flags.c_contiguous and not c.flags.writeable
-        assert not np.shares_memory(c, src)
+    for n in (6, 150):
+        m = rand_psd(rng, n)
+        m[0, 1] += 1e-14  # asymmetric within the 1e-12 gate
+        for src in (m, np.asfortranarray(m)):
+            c = CovMatrix(src).matrix
+            assert np.array_equal(c, 0.5 * (m + m.T))
+            # bit for bit, since `_factor` hands dpstrf the transpose
+            assert np.array_equal(c, c.T)
+            assert c.flags.c_contiguous and not c.flags.writeable
+            assert not np.shares_memory(c, src)
     # halving before the sum keeps an entry above DBL_MAX / 2 finite
     assert CovMatrix([[1e308]]).matrix[0, 0] == 1e308
 
