@@ -28,14 +28,13 @@ solve for its B new columns and a Cholesky factor of its B x B Schur
 complement. A drop restores the factor in place with Givens rotations, in
 O(k^2). An asset in the affine hull of the corral and the batch assets
 before it would give a zero pivot, so the block stops before it: the
-assets ahead of it enter, and the rest of the batch after it enters as
-the next block. Such an asset is skipped, unless it leads the batch: then
-it swaps weight with the member it can replace and enters in that
-member's stead. Every add, of one asset or of many, is one block. Each
-gradient C w is one symmetric product that reads one triangle of C. The
-solve never factors C itself: a degenerate result says
-only that the optimum has zero variance, and `CovMatrix.rank` gives
-rank(C) to a caller who wants it.
+assets ahead of it enter, and the rest of the batch waits for the next
+gradient. If that asset leads the batch, it swaps weight with the member
+it can replace and enters in that member's stead, as a block of one.
+Each major step adds one block. Each gradient C w is one symmetric
+product that reads one triangle of C. The solve never factors C itself:
+a degenerate result says only that the optimum has zero variance, and
+`CovMatrix.rank` gives rank(C) to a caller who wants it.
 
 The brute-force oracle enumerates supports and solves each one with the
 equality solver; it checks which support the active set picks.
@@ -83,7 +82,7 @@ FLAT_RTOL = 1e-24
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
 # corral's affine hull; it is never pivoted on: a block stops before it, and
-# it is swapped in if it leads its batch, else skipped
+# it is swapped in if it leads its batch, else left to the next gradient
 PIVOT_RTOL = 1e-12
 # a major step of the no-short solver adds up to ADD_BATCH max(1, N // 500)
 # improving assets from one gradient (one product C w) before its minor
@@ -207,9 +206,9 @@ class QpResult:
     solver a vertex-like point with at most rank(C) + 1 nonzero weights,
     where rank(C) is `CovMatrix.rank`. `lam` is the budget multiplier at the
     solution. `iterations` counts the no-short solver's active-set steps
-    (adds plus drops) and is 0 for the other solvers. The record holds the
-    optimum only, never the covariance. Records compare and hash by
-    identity, as `CovMatrix` does.
+    (adds plus drops; a hull swap counts as a drop plus an add) and is 0
+    for the other solvers. The record holds the optimum only, never the
+    covariance. Records compare and hash by identity, as `CovMatrix` does.
     """
 
     weights: np.ndarray
@@ -481,9 +480,10 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     Wolfe's min-norm-point method in weight form. The corral starts as the
     single asset of smallest variance. Each major step adds, from one
     gradient, up to ADD_BATCH max(1, N // 500) outside assets with negative
-    multipliers, ordered by (multiplier, asset index), as blocks of the
-    factor that skip each asset in the affine hull of the corral and the
-    assets added before it; the first asset, if in the hull, swaps in for a
+    multipliers, ordered by (multiplier, asset index), as one block of the
+    factor that ends before the first asset in the affine hull of the
+    corral and the assets added before it; the rest of the batch waits for
+    the next gradient. If that asset leads the batch, it swaps in for a
     member instead. Minor steps then drop the corral members that block the
     way to the corral's affine minimizer. A new member whose affine weight
     is negative leaves at step length 0, and by Wolfe's lemma the last new
@@ -494,7 +494,9 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     detected from the final objective against the scaled threshold and
     flagged, never regularized; they end with at most rank(C) + 1 corral
     members. Raises ValueError on a budget that is negative or not finite,
-    and ActiveSetError if the step cap (50 N) is exhausted.
+    and ActiveSetError, at the corral as it stands, before a step past the
+    cap (50 N, or `max_iter`): a batch is cut to the steps left, and a drop
+    or a swap that does not fit fails.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -513,9 +515,9 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     w[i0] = b
     steps = 0
 
-    def failure(reason: str, mu_min: float, k: int = None) -> ActiveSetError:
-        """The error at the corral's first k members (all by default)."""
-        free = corral.members[:k]
+    def failure(reason: str, mu_min: float) -> ActiveSetError:
+        """The error at the corral as it stands."""
+        free = corral.members
         gap = abs(float(np.sum(w)) - b)
         return ActiveSetError(
             f"{reason} with {free.size} assets free, most negative "
@@ -524,19 +526,11 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             residual=(mu_min, gap),
         )
 
-    def count_step() -> None:
-        """Count one drop, before it; the failure reports the batch's first multiplier."""
-        nonlocal steps
-        if steps >= cap:
+    def room(need: int) -> int:
+        """Steps left under the cap, asked before a step; fails if fewer than `need`."""
+        if cap - steps < need:
             raise failure(f"active-set cap {cap} reached", mu_min)
-        steps += 1
-
-    def count_adds(added: int) -> None:
-        """Count the adds just made; past the cap, fail at the corral the cap left."""
-        nonlocal steps
-        steps += added
-        if steps > cap:
-            raise failure(f"active-set cap {cap} reached", mu_min, corral.k - (steps - cap))
+        return cap - steps
 
     size = ADD_BATCH * max(1, n // 500)
     cmt = cm.T  # column-major, so dsymv reads one triangle of C in place
@@ -550,23 +544,22 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         if batch.size == 0:
             break
         mu_min = float(mu[batch[0]])
-        # each block ends before an asset in the affine hull of the corral
-        # and the assets ahead of it; the rest of the batch after it is the
-        # next block. That asset is skipped, unless it leads the batch: then
-        # it is swapped in, along a null direction of C (to the pivot
-        # tolerance), so the rest of the batch keeps its multipliers
-        i = 0
-        while i < batch.size:
-            added, l = corral.extend(batch[i:])
-            if added == 0 == i:
-                j = int(batch[0])
-                count_step()
-                corral.swap(j, l[:, 0], w)
-                if not corral.extend(batch[:1])[0]:
-                    raise failure(f"asset {j} stays affinely dependent", mu_min)
-                count_adds(1)
-            count_adds(added)
-            i += added + 1
+        # one block per major step, cut to the steps left: it ends before
+        # the first asset in the affine hull of the corral and the assets
+        # ahead of it, and the rest waits for the next gradient (once the
+        # corral and the prefix span the lifted asset vectors [x_i; sqrt(rho)],
+        # every later asset is in the hull too). If that asset leads the
+        # batch, it is swapped in for a member, along a null direction of C
+        # (to the pivot tolerance), and re-added as the block
+        added, l = corral.extend(batch[: room(1)])
+        if not added:
+            j = int(batch[0])
+            room(2)  # a swap is a drop plus an add
+            corral.swap(j, l[:, 0], w)
+            if not corral.extend(batch[:1])[0]:
+                raise failure(f"asset {j} stays affinely dependent", mu_min)
+            added = 2
+        steps += added
         while True:
             v = corral.affine_minimizer(b)
             f = corral.members
@@ -574,7 +567,8 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
             if pos.size == 0:
                 w[f] = np.maximum(v, 0.0)
                 break
-            count_step()
+            room(1)
+            steps += 1
             # minimum-ratio step toward the affine minimizer
             w_f = w[f]
             q, t = _first_blocking(pos, w_f[pos] / (w_f[pos] - v[pos]), f)

@@ -665,16 +665,30 @@ def test_noshort_matches_brute_force_on_panels(n, t, seed, duplicate, sigma_spre
     assert res.degenerate == (res.objective <= c.tol_zero)
 
 
-def _trace_swaps(monkeypatch) -> list[int]:
-    """Corral sizes at which a hull swap ran, appended as the solver runs."""
-    swap, swaps = qp._Corral.swap, []
+def _trace_steps(monkeypatch) -> dict:
+    """Adds plus drops taken, extend calls, the steps before each hull swap, the corral."""
+    extend, drop, swap = qp._Corral.extend, qp._Corral.drop, qp._Corral.swap
+    trace = {"steps": 0, "extends": 0, "swaps": [], "corral": None}
+
+    def traced_extend(self, batch):
+        added, l = extend(self, batch)
+        trace["steps"] += added
+        trace["extends"] += 1
+        trace["corral"] = self
+        return added, l
+
+    def traced_drop(self, q):
+        trace["steps"] += 1
+        return drop(self, q)
 
     def traced_swap(self, *args):
-        swaps.append(self.k)
+        trace["swaps"].append(trace["steps"])
         return swap(self, *args)
 
+    monkeypatch.setattr(qp._Corral, "extend", traced_extend)
+    monkeypatch.setattr(qp._Corral, "drop", traced_drop)
     monkeypatch.setattr(qp._Corral, "swap", traced_swap)
-    return swaps
+    return trace
 
 
 def test_noshort_near_duplicate_asset_swaps_into_free_set(monkeypatch):
@@ -683,7 +697,7 @@ def test_noshort_near_duplicate_asset_swaps_into_free_set(monkeypatch):
     # that holds its twin, so its Cholesky pivot is ~0. When the twin is in
     # the corral first, the copy has to replace it, not join it; on other
     # seeds the copy enters first and the twin never does.
-    swaps = _trace_swaps(monkeypatch)
+    swaps = _trace_steps(monkeypatch)["swaps"]
     swapped = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -701,17 +715,21 @@ def test_noshort_near_duplicate_asset_swaps_into_free_set(monkeypatch):
     assert swapped
 
 
-@pytest.mark.parametrize("seed", [2, 3, 11])
-def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
-    # asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6; when its
-    # twin is in the corral, its pivot is ~0 and it swaps weight with a
-    # member
+def _hull_swap_cov(seed):
+    """Asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 6))
     delta = 10 ** rng.uniform(-8, -5.5)
     x[3] = x[rng.integers(0, 3)] + delta * rng.standard_normal(6)
-    c = CovMatrix.from_returns(x)
-    swaps = _trace_swaps(monkeypatch)
+    return CovMatrix.from_returns(x)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 11])
+def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
+    # when the twin of asset 3 is in the corral, the pivot of asset 3 is ~0
+    # and it swaps weight with a member
+    c = _hull_swap_cov(seed)
+    swaps = _trace_steps(monkeypatch)["swaps"]
     res = min_variance_noshort(c)
     assert swaps
     assert kkt_residual(c, res, 4.0) <= 1e-13
@@ -731,6 +749,59 @@ def test_noshort_cap_reports_free_set_and_residual():
     assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+def _cap_failure(c, cap, trace):
+    """The cap's error, after checking that no step went past the cap."""
+    with pytest.raises(ActiveSetError) as info:
+        min_variance_noshort(c, max_iter=cap)
+    err = info.value
+    assert trace["steps"] <= cap
+    assert err.iterate == trace["corral"].members.tolist()
+    assert err.residual[1] == pytest.approx(0.0, abs=1e-12)
+    return err
+
+
+def test_noshort_cap_cuts_the_batch_to_the_steps_left(monkeypatch):
+    # eleven outside assets tie and the batch takes eight of them; a cap of
+    # five cuts it to five adds, and the next gradient fails at that corral
+    trace = _trace_steps(monkeypatch)
+    err = _cap_failure(CovMatrix(np.eye(12)), 5, trace)
+    assert trace["steps"] == 5
+    assert err.iterate == list(range(6))
+
+
+@pytest.mark.parametrize("seed", [2, 3, 11])
+def test_noshort_cap_fails_before_a_swap_past_it(seed, monkeypatch):
+    # a swap is a drop plus an add: with room for its drop only, the solve
+    # fails before the swap moves any weight, at the corral as it stands
+    c = _hull_swap_cov(seed)
+    trace = _trace_steps(monkeypatch)
+    min_variance_noshort(c)
+    (before,) = trace["swaps"]
+    trace.update(steps=0, swaps=[])
+    _cap_failure(c, before + 1, trace)
+    assert trace["swaps"] == []
+
+
+def test_noshort_batch_is_one_block_per_gradient(monkeypatch):
+    # a flat panel (N = 100, r = 2.5), where many batch assets lie in the
+    # affine hull of the corral: each gradient's batch is one extend call,
+    # plus one for a swap's re-add, and an asset refused by the block waits
+    # for the next gradient instead of starting a block of its own
+    improving, gradients = qp._improving, []
+
+    def traced_improving(*args):
+        gradients.append(None)
+        return improving(*args)
+
+    monkeypatch.setattr(qp, "_improving", traced_improving)
+    trace = _trace_steps(monkeypatch)
+    c = CovMatrix.from_returns(_panel(100, 40))
+    res = min_variance_noshort(c, 100.0)
+    assert res.degenerate
+    assert kkt_residual(c, res, 100.0) <= 1e-8
+    assert trace["extends"] <= len(gradients) + len(trace["swaps"])
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_noshort_batch_can_free_every_asset(n):
     # one batch takes every outside asset, the corral ends up holding all N
@@ -744,10 +815,12 @@ def test_noshort_batch_can_free_every_asset(n):
     assert kkt_residual(c, res, float(n)) <= 1e-12
 
 
-def test_noshort_batch_skips_near_duplicate_pivot():
+def test_noshort_batch_stops_before_near_duplicate_pivot():
     # assets 1 and 2 are near-duplicates with tied multipliers at the start,
     # so both land in the first batch; asset 2 lies (to 1e-13) in the affine
-    # hull of {0, 1} and is skipped, not appended on a ~0 pivot
+    # hull of {0, 1}, so the block stops before it instead of appending it
+    # on a ~0 pivot, and at the next gradient its multiplier is no longer
+    # negative
     x = np.array([[1.0, 0.0], [0.0, 1.2], [0.0, 1.2 * (1.0 + 1e-13)]])
     c = CovMatrix(x @ x.T)
     res = min_variance_noshort(c, 1.0)
@@ -759,12 +832,14 @@ def test_noshort_batch_skips_near_duplicate_pivot():
     assert kkt_residual(c, res, 1.0) <= 1e-12
 
 
-def test_noshort_cap_counts_only_the_batch_members_it_adds():
+def test_noshort_cap_cuts_the_batch_and_counts_only_its_adds():
     # at the start assets 1, 2 and 3 tie and form one batch, in that order;
-    # asset 2 lies (to 1e-13) in the affine hull of {0, 1}. The add of 1
-    # reaches a cap of one step, 2 is then skipped without a step, so
-    # without asset 3 the solve ends at the cap with no error; with it, the
-    # cap stops the solve before 3 is added
+    # asset 2 lies (to 1e-13) in the affine hull of {0, 1}. A cap of one
+    # step cuts the batch to asset 1, and 2 is not improving at the next
+    # gradient, so without asset 3 the solve ends at the cap with no error;
+    # with it, the cap stops the solve before 3 is added. A cap of two cuts
+    # the batch to 1 and 2; the block stops before 2, so it counts one step,
+    # and 3 enters at the next gradient
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 1.2 * (1.0 + 1e-13), 0.0]])
     res = min_variance_noshort(CovMatrix(x @ x.T), 1.0, max_iter=1)
     assert res.iterations == 1
