@@ -18,8 +18,6 @@ from .errors import (
 from .mc import (
     Histogram,
     PointSummary,
-    SampleMetrics,
-    SweepSummary,
     TrialConfig,
     generate_returns,
     run_trial,
@@ -86,9 +84,7 @@ __all__ = [
     "kkt_residual",
     "brute_force_noshort",
     "TrialConfig",
-    "SampleMetrics",
     "PointSummary",
-    "SweepSummary",
     "Histogram",
     "generate_returns",
     "run_trial",

@@ -299,11 +299,11 @@ def cmd_simulate(args) -> int:
             "penalty values cannot be simulated"
         )
     grid, universe, spec = _request(args)
-    summary = sweep(
+    points = sweep(
         universe, grid, args.trials, constraint=args.constraint,
         seed=args.seed, threads=args.threads,
     )
-    rows = [{f: getattr(p, f) for f in args.fields} for p in summary.points]
+    rows = [{f: getattr(p, f) for f in args.fields} for p in points]
     write_rows(args.out, spec, args.fields, rows, args.format)
     return EXIT_OK
 
@@ -340,7 +340,7 @@ def cmd_weights(args) -> int:
         points = sweep(
             universe, grid, args.trials, constraint=_corner(reg), seed=args.seed,
             threads=args.threads, keep_weights=True,
-        ).points
+        )
     rows = []
     for r_req, point in zip(grid, points):
         pooled, r_here = (None, r_req) if point is None else (point.weights, point.r)

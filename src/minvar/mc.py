@@ -4,11 +4,12 @@ One trial draws an (N, T) panel of independent Gaussian returns with
 per-asset variances sigma_i^2 / N, forms the second-moment matrix
 C = X X' / T (means are known to be zero, so nothing is centered), solves
 the requested finite-size optimizer under the budget sum(w) = N, and
-evaluates the observables the theory predicts. `OBSERVABLES` declares each
-one once: its value in a trial, its reduction over a grid point's trials,
-and the replica column it estimates. The fields of `SampleMetrics` and
-`PointSummary`, and the columns of `simulate`, `phase` and `compare`, are
-read from it.
+returns the solver's `QpResult`. `OBSERVABLES` declares each observable
+the theory predicts once: its value, a map from a trial's configuration
+and `QpResult`, its reduction over a grid point's trials, and the replica
+column it estimates. The fields of `PointSummary`, and the columns of
+`simulate`, `phase` and `compare`, are read from it, and `sweep`
+evaluates every entry as each trial's result arrives.
 
 Determinism contract: every trial's stream is Philox keyed by
 SeedSequence(seed, spawn_key=(trial_index,)), trial indices are assigned
@@ -33,9 +34,7 @@ from .theory import AssetUniverse, as_universe, true_optimum
 
 __all__ = [
     "TrialConfig",
-    "SampleMetrics",
     "PointSummary",
-    "SweepSummary",
     "Histogram",
     "generate_returns",
     "run_trial",
@@ -72,7 +71,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class Observable:
-    """One Monte Carlo observable: a field of each trial, two columns per grid point.
+    """One Monte Carlo observable: a value per trial, two columns per grid point.
 
     `value(cfg, res)` is its value in trial `cfg`, whose solver returned `res`.
     A float reduces to `<name>_mean` and `<name>_se` (sample SD / sqrt(trials)),
@@ -119,15 +118,6 @@ OBSERVABLES = (
     Observable("zero_variance", lambda cfg, res: res.degenerate, boolean=True),
 )
 
-SampleMetrics = make_dataclass(
-    "SampleMetrics",
-    [("r", float), ("t", int), *((o.name, bool if o.boolean else float) for o in OBSERVABLES),
-     ("weights", np.ndarray)],
-    frozen=True,
-    namespace={"__module__": __name__, "__doc__": "Observables of one trial, a field per "
-               "entry of OBSERVABLES; weights kept for pooled histograms."},
-)
-
 # a grid point's own columns, ahead of its observables'
 POINT_FIELDS = (("r_requested", float), ("r", float), ("t", int), ("n", int), ("trials", int))
 
@@ -139,15 +129,6 @@ PointSummary = make_dataclass(
     namespace={"__module__": __name__, "__doc__": "Aggregates of one grid point, two "
                "columns per entry of OBSERVABLES, as `Observable` defines them."},
 )
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    universe: AssetUniverse
-    constraint: str
-    seed: int
-    trials: int
-    points: tuple[PointSummary, ...]
 
 
 def generate_returns(cfg: TrialConfig) -> np.ndarray:
@@ -164,26 +145,20 @@ def generate_returns(cfg: TrialConfig) -> np.ndarray:
     return x
 
 
-def run_trial(cfg: TrialConfig) -> SampleMetrics:
-    """Draw one panel, optimize, and evaluate every entry of OBSERVABLES."""
+def run_trial(cfg: TrialConfig) -> QpResult:
+    """Draw one panel, form C and return the optimizer's solve at budget N."""
     n = cfg.universe.n
-    x = generate_returns(cfg)
-    cov = CovMatrix.from_returns(x)
+    cov = CovMatrix.from_returns(generate_returns(cfg))
     if cfg.constraint == "equality":
-        res = min_variance_equality(cov, budget=n)
-    else:
-        try:
-            res = min_variance_noshort(cov, budget=n)
-        except ActiveSetError as exc:
-            raise ActiveSetError(
-                f"trial {cfg.trial_index} (r = {cfg.r:.6g}, T = {cfg.t}, "
-                f"seed {cfg.seed}): {exc}",
-                iterate=exc.iterate, residual=exc.residual,
-            ) from exc
-    return SampleMetrics(
-        r=cfg.r, t=cfg.t, **{o.name: o.value(cfg, res) for o in OBSERVABLES},
-        weights=res.weights,
-    )
+        return min_variance_equality(cov, budget=n)
+    try:
+        return min_variance_noshort(cov, budget=n)
+    except ActiveSetError as exc:
+        raise ActiveSetError(
+            f"trial {cfg.trial_index} (r = {cfg.r:.6g}, T = {cfg.t}, "
+            f"seed {cfg.seed}): {exc}",
+            iterate=exc.iterate, residual=exc.residual,
+        ) from exc
 
 
 def sweep(
@@ -194,8 +169,8 @@ def sweep(
     seed: int,
     threads: int = 1,
     keep_weights: bool = False,
-) -> SweepSummary:
-    """Run `trials` independent trials at every ratio of `r_grid`.
+) -> tuple[PointSummary, ...]:
+    """Run `trials` independent trials at every ratio of `r_grid`, one point per ratio.
 
     The observation count is T = round(N / r) (at least 1) and the achieved
     ratio r = N/T is what each point reports; analytic comparisons should
@@ -203,7 +178,8 @@ def sweep(
     so no stream is reused. With threads > 1 the trials are executed by one
     thread pool for the whole grid (the linear algebra releases the
     interpreter lock) and collected in trial order, point by point; results
-    are identical for any thread count.
+    are identical for any thread count. Each result is reduced to its
+    observables (and, with `keep_weights`, its weights) as it arrives.
     """
     uni = as_universe(universe)
     if trials < 1:
@@ -228,20 +204,19 @@ def sweep(
                 )
                 for j in range(trials)
             ]
-            metrics = list(run(run_trial, cfgs))
+            values, pooled = [], []
+            for cfg, res in zip(cfgs, run(run_trial, cfgs)):
+                values.append([o.value(cfg, res) for o in OBSERVABLES])
+                if keep_weights:
+                    pooled.append(res.weights)
             stats = {}
-            for o in OBSERVABLES:
-                values = np.array([getattr(m, o.name) for m in metrics])
-                stats.update(zip(o.columns, o.reduce(values)))
-            pooled = (
-                np.concatenate([m.weights for m in metrics]) if keep_weights else None
-            )
-            points.append(PointSummary(r_requested=r_req, r=uni.n / t, t=t, n=uni.n,
-                                       trials=trials, **stats, weights=pooled))
-    return SweepSummary(
-        universe=uni, constraint=constraint, seed=seed, trials=trials,
-        points=tuple(points),
-    )
+            for o, column in zip(OBSERVABLES, zip(*values)):
+                stats.update(zip(o.columns, o.reduce(np.array(column))))
+            points.append(PointSummary(
+                r_requested=r_req, r=uni.n / t, t=t, n=uni.n, trials=trials, **stats,
+                weights=np.concatenate(pooled) if keep_weights else None,
+            ))
+    return tuple(points)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriticalPhaseError, NoConvergenceError, PhaseBoundaryError
-from .special import norm_cdf, norm_pdf
+from .special import norm_cdf, norm_cdf_int, norm_pdf
 
 # the banned and penalized branches treat r within this of 2 as critical: the
 # susceptibility ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13,
@@ -353,9 +353,14 @@ def _assemble(uni, reg, r, m, u) -> ReplicaSolution:
 
     The susceptibility r S_Phi / (1 - r S_Phi) takes its denominator as
     u r S_Psi, equal at a root of the second saddle equation and free of the
-    cancellation near r = 2 or under a weak penalty at r >= 1.
+    cancellation near r = 2 or under a weak penalty at r >= 1. With a finite
+    eta2, S_Psi is formed as mean((b1 + (Psi(-b1) - Psi(-b2))) / sigma): Psi(b1)
+    and Psi(-b2) both lie near phi(0) as the band closes (r -> 1 at eta = 0),
+    and the two Psi of equal arguments cancel exactly.
     """
     s_w, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
+    if not math.isinf(reg.eta2):
+        s_psi = _mean((b1 + (norm_cdf_int(-b1) - norm_cdf_int(-b2))) / uni._sig)
     lam = m + reg.eta1
     denom = u * r * s_psi
     if denom <= 0.0:

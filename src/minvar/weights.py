@@ -151,16 +151,18 @@ class WeightMixture:
 
         Per asset the truncated-Gaussian first moments sum to
         s * (Psi(a/s) - Psi(-b/s)) with Psi the integrated cdf; at a saddle
-        point this averages to exactly 1, the budget per asset.
+        point this averages to exactly 1, the budget per asset. A finite b
+        takes it as a + s * (Psi(-a/s) - Psi(-b/s)), whose two Psi cancel
+        exactly at a = b instead of leaving the rounding of two numbers near
+        phi(0).
         """
         a, b, s = self.center_pos, self.center_neg, self.spread
-        pos = s * norm_cdf_int(a / s)
         banned = np.isinf(b)
         # evaluate the negative branch only at finite centers; -inf would
         # produce nan inside the discarded arm of a plain where()
-        neg = -s * norm_cdf_int(-np.where(banned, 0.0, b) / s)
-        neg = np.where(banned, 0.0, neg)
-        return float(np.mean(pos + neg))
+        b = np.where(banned, 0.0, b)
+        two_sided = a + s * (norm_cdf_int(-a / s) - norm_cdf_int(-b / s))
+        return float(np.mean(np.where(banned, s * norm_cdf_int(a / s), two_sided)))
 
     def branch_masses(self) -> tuple[float, float]:
         """(positive, negative) continuous masses; they sum to 1 - atom."""

@@ -303,7 +303,7 @@ def test_criterion_7_equality_risk_curve(criterion_recorder):
     s = sweep(uni, [0.25, 0.5, 0.75, 0.9], trials=1000, constraint="equality",
               seed=0, threads=4)
     zs = []
-    for p in s.points:
+    for p in s:
         analytic = 1.0 / (1.0 - p.r)
         z = (p.q0_tilde_hat_mean - analytic) / p.q0_tilde_hat_se
         zs.append(f"{p.r_requested:g}:{z:+.2f}")
@@ -313,7 +313,7 @@ def test_criterion_7_equality_risk_curve(criterion_recorder):
             f"vs {analytic:.4f}, z={z:+.2f}",
         )
     s2 = sweep(uni, [1.25, 1.5], trials=1000, constraint="equality", seed=0, threads=4)
-    for p in s2.points:
+    for p in s2:
         _check(
             fails, p.zero_variance_probability == 1.0,
             f"degenerate fraction {p.zero_variance_probability} != 1 at r={p.r:.3f}",
@@ -342,7 +342,7 @@ def test_criterion_8_noshort_order_parameter_curves(criterion_recorder):
     s = sweep(uni, [0.5, 1.0, 1.5, 1.9], trials=1000, constraint="noshort",
               seed=0, threads=4)
     detail = []
-    for p in s.points:
+    for p in s:
         sol = noshort_solution(uni, p.r)
         z_lam = (p.lambda_hat_mean - sol.lam) / p.lambda_hat_se
         z_q = (p.q0_tilde_hat_mean - sol.q0_tilde) / p.q0_tilde_hat_se
@@ -366,12 +366,19 @@ def test_criterion_8_noshort_order_parameter_curves(criterion_recorder):
     assert not fails, "; ".join(fails)
 
 
+def wendel(n: int, t: int) -> float:
+    """P(Bin(N - 1, 1/2) >= T), exactly: the chance that N symmetric points in
+    general position in R^T hold the origin in their convex hull (Wendel 1962),
+    that is, that the no-short problem has a zero-variance portfolio."""
+    return sum(math.comb(n - 1, k) for k in range(t, n)) / 2 ** (n - 1)
+
+
 def test_criterion_9_zero_variance_phase_scan(criterion_recorder):
     t0 = time.perf_counter()
     fails = []
     low = sweep(
         AssetUniverse.constant(1.0, 50), [0.5], trials=200, constraint="noshort", seed=0
-    ).points[0]
+    )[0]
     _check(
         fails, low.zero_variance_probability == 0.0,
         f"P(zero variance) = {low.zero_variance_probability} != 0 at r=0.5",
@@ -379,7 +386,7 @@ def test_criterion_9_zero_variance_phase_scan(criterion_recorder):
     high = sweep(
         AssetUniverse.constant(1.0, 100), [2.5], trials=200, constraint="noshort",
         seed=0, threads=4,
-    ).points[0]
+    )[0]
     _check(
         fails, high.zero_variance_probability > 0.95,
         f"P(zero variance) = {high.zero_variance_probability} <= 0.95 at r=2.5",
@@ -387,7 +394,7 @@ def test_criterion_9_zero_variance_phase_scan(criterion_recorder):
     scan = sweep(
         AssetUniverse.constant(1.0, 50), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
         trials=200, constraint="noshort", seed=0, threads=4,
-    ).points
+    )
     probs = [p.zero_variance_probability for p in scan]
     for a, b in zip(scan, scan[1:]):
         slack = 3.0 * math.hypot(a.zero_variance_se, b.zero_variance_se)
@@ -397,12 +404,26 @@ def test_criterion_9_zero_variance_phase_scan(criterion_recorder):
             f"phase curve decreases: {a.zero_variance_probability} -> "
             f"{b.zero_variance_probability} at r={b.r:.3f}",
         )
+    # every point against the exact finite-N law, at 3 binomial SEs of it;
+    # where the law is 0 (or 1) the share must be exactly 0 (or 1)
+    z_max = 0.0  # the z of largest size
+    for p in (low, high, *scan):
+        exact = wendel(p.n, p.t)
+        se = math.sqrt(exact * (1.0 - exact) / p.trials)
+        gap = p.zero_variance_probability - exact
+        _check(
+            fails, abs(gap) <= 3.0 * se,
+            f"P(zero variance) = {p.zero_variance_probability} vs Wendel {exact:.4f} "
+            f"(se {se:.2e}) at N={p.n}, T={p.t}",
+        )
+        if se > 0.0:
+            z_max = max(z_max, gap / se, key=abs)
     dt = time.perf_counter() - t0
     criterion_recorder(
         f"CRITERION 9: {'PASS' if not fails else 'FAIL'} — P(zero var) = "
         f"{low.zero_variance_probability:g} at r=0.5 (N=50), "
         f"{high.zero_variance_probability:g} at r=2.5 (N=100), "
-        f"scan {probs} nondecreasing, {dt:.0f}s"
+        f"scan {probs} nondecreasing, Wendel z of largest size {z_max:+.2f} (|z|<=3), {dt:.0f}s"
     )
     assert not fails, "; ".join(fails)
 
@@ -413,7 +434,7 @@ def test_criterion_10_weight_distribution(criterion_recorder):
     uni = AssetUniverse.constant(1.0, 100)
     s = sweep(uni, [1.0], trials=1000, constraint="noshort", seed=0, threads=4,
               keep_weights=True)
-    p = s.points[0]
+    p = s[0]
     sol = noshort_solution(uni, p.r)
     mix = build_mixture(sol)
     h = weight_histogram(p.weights, bin_width=0.05)
@@ -478,7 +499,7 @@ def test_criterion_12_equality_finite_size_risk_law(criterion_recorder):
     for name, uni in (("sigma=1", AssetUniverse.constant(1.0, n)),
                       ("lognormal", AssetUniverse.lognormal(0.0, 0.5, n, 7))):
         s = sweep(uni, [n / 25, n / 40], trials=2000, constraint="equality", seed=0)
-        for p in s.points:
+        for p in s:
             exact = (p.t - 1) / (p.t - n)
             z = (p.q0_tilde_hat_mean - exact) / p.q0_tilde_hat_se
             z_asym = (p.q0_tilde_hat_mean - 1.0 / (1.0 - p.r)) / p.q0_tilde_hat_se

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from minvar import NoConvergenceError, unconstrained_solution, noshort_solution
-from minvar import AssetUniverse, TrialConfig, run_trial, sweep, weight_histogram
+from minvar import AssetUniverse, QpResult, TrialConfig, run_trial, sweep, weight_histogram
 from minvar.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -28,6 +28,7 @@ from minvar.cli import (
     read_table,
     write_rows,
 )
+from minvar.mc import OBSERVABLES
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +328,16 @@ def test_monte_carlo_columns_and_attributes_are_pinned(tmp_path):
     ]
     # the attributes that the tests and README's library tour read
     uni = AssetUniverse.constant(1.0, 4)
-    point = sweep(uni, [0.5], trials=2, constraint="noshort", seed=1).points[0]
+    (point,) = sweep(uni, [0.5], trials=2, constraint="noshort", seed=1)
     assert all(hasattr(point, name) for name in [*simulate, "weights"])
-    trial = run_trial(TrialConfig(universe=uni, t=8, constraint="noshort", seed=1, trial_index=0))
-    assert all(hasattr(trial, name) for name in
-               ("r", "t", "lambda_hat", "q0_tilde_hat", "zero_fraction", "objective", "weights"))
+    cfg = TrialConfig(universe=uni, t=8, constraint="noshort", seed=1, trial_index=0)
+    trial = run_trial(cfg)
+    assert isinstance(trial, QpResult) and trial.weights.shape == (4,)
+    assert (cfg.r, cfg.t) == (0.5, 8)
+    values = {o.name: o.value(cfg, trial) for o in OBSERVABLES}
+    assert list(values) == [
+        "lambda_hat", "q0_tilde_hat", "zero_fraction", "objective", "zero_variance",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,7 @@ def test_weights_ratios_draw_their_own_streams(tmp_path):
     points = sweep(
         AssetUniverse.constant(1.0, 10), [0.5, 0.5], 5, constraint="noshort", seed=1,
         keep_weights=True,
-    ).points
+    )
     for block, point in zip(blocks, points):
         edges = np.array([row["w_lo"] for row in block[1:]] + [block[-1]["w_hi"]])
         hist = weight_histogram(point.weights, edges=edges)

@@ -14,6 +14,7 @@ import pytest
 from minvar import (
     AssetUniverse,
     CovMatrix,
+    QpResult,
     TrialConfig,
     generate_returns,
     min_variance_equality,
@@ -22,10 +23,16 @@ from minvar import (
     true_optimum,
     weight_histogram,
 )
-from minvar.mc import bin_grid
+from minvar.mc import OBSERVABLES, bin_grid
 
 
 UNI = AssetUniverse.constant(1.0, 20)
+
+
+def _observe(cfg):
+    """Each OBSERVABLES value of trial `cfg`, by name, as `sweep` evaluates them."""
+    res = run_trial(cfg)
+    return {o.name: o.value(cfg, res) for o in OBSERVABLES}
 
 
 def test_trial_config_validation():
@@ -57,29 +64,31 @@ def test_generate_returns_scaling_and_keying():
 def test_run_trial_observables_match_direct_computation():
     uni = AssetUniverse(sigmas=(1.0, 2.0))
     cfg = TrialConfig(universe=uni, t=8, constraint="equality", seed=9, trial_index=0)
-    m = run_trial(cfg)
+    trial = run_trial(cfg)
+    assert isinstance(trial, QpResult)
+    m = {o.name: o.value(cfg, trial) for o in OBSERVABLES}
     x = generate_returns(cfg)
     res = min_variance_equality(CovMatrix.from_returns(x), budget=2.0)
-    assert m.objective == res.objective
-    assert m.lambda_hat == pytest.approx(res.objective / cfg.r, rel=1e-15)
+    assert m["objective"] == res.objective
+    assert m["lambda_hat"] == pytest.approx(res.objective / cfg.r, rel=1e-15)
     w = np.asarray(res.weights)
     sig2 = np.asarray(uni.sigmas) ** 2
-    assert m.q0_tilde_hat == pytest.approx(
+    assert m["q0_tilde_hat"] == pytest.approx(
         float(sig2 @ (w * w)) / true_optimum(uni).risk, rel=1e-13
     )
-    assert m.t == 8
-    assert np.array_equal(m.weights, w)
+    assert x.shape == (2, 8)
+    assert np.array_equal(trial.weights, w)
 
 
 def test_sweep_grid_reporting_and_determinism():
     s1 = sweep(UNI, [0.5, 1.6], trials=6, constraint="noshort", seed=21)
     s2 = sweep(UNI, [0.5, 1.6], trials=6, constraint="noshort", seed=21, threads=4)
     assert s1 == s2  # thread-count independence, exact equality
-    p = s1.points[0]
+    p, q = s1
     assert p.t == 40 and p.r == 0.5 and p.r_requested == 0.5
-    q = s1.points[1]
     assert q.t == round(20 / 1.6) and q.r == 20 / q.t
-    assert s1.trials == 6 and s1.constraint == "noshort"
+    # six no-short trials per point: the ban eliminates assets at r = 0.5
+    assert p.trials == q.trials == 6 and p.zero_fraction_mean > 0.0
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -96,39 +105,39 @@ def test_noshort_sweep_with_drops_is_thread_count_independent(threads):
                    threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    assert s1.points == s2.points
+    assert s1 == s2
 
 
 def test_sweep_trial_indices_are_global():
     # The second grid point must not reuse the first point's streams: its
     # trials are keyed from trials..2*trials-1.
     s = sweep(UNI, [0.5, 0.5], trials=4, constraint="equality", seed=13)
-    a, b = s.points
+    a, b = s
     assert a.t == b.t
     assert a.lambda_hat_mean != b.lambda_hat_mean  # different draws
     cfg = TrialConfig(universe=UNI, t=40, constraint="equality", seed=13, trial_index=4)
-    first_of_second = run_trial(cfg)
+    first_of_second = _observe(cfg)
     # Reconstruct the second point's mean directly.
     ms = [
-        run_trial(
+        _observe(
             TrialConfig(universe=UNI, t=40, constraint="equality", seed=13, trial_index=i)
         )
         for i in range(4, 8)
     ]
     assert b.lambda_hat_mean == pytest.approx(
-        np.mean([m.lambda_hat for m in ms]), rel=1e-15
+        np.mean([m["lambda_hat"] for m in ms]), rel=1e-15
     )
-    assert ms[0].lambda_hat == first_of_second.lambda_hat
+    assert ms[0]["lambda_hat"] == first_of_second["lambda_hat"]
 
 
 def test_sweep_mean_and_se_definitions():
     s = sweep(UNI, [0.8], trials=5, constraint="equality", seed=2)
-    p = s.points[0]
+    (p,) = s
     t = p.t
     vals = [
-        run_trial(
+        _observe(
             TrialConfig(universe=UNI, t=t, constraint="equality", seed=2, trial_index=i)
-        ).q0_tilde_hat
+        )["q0_tilde_hat"]
         for i in range(5)
     ]
     assert p.q0_tilde_hat_mean == pytest.approx(np.mean(vals), rel=1e-14)
@@ -148,7 +157,7 @@ def test_sweep_input_validation():
 
 def test_equality_oversampled_ratio_always_degenerate():
     s = sweep(UNI, [1.25, 2.0], trials=20, constraint="equality", seed=5)
-    for p in s.points:
+    for p in s:
         assert p.zero_variance_probability == 1.0
         assert p.objective_mean < 1e-12
 
@@ -160,8 +169,7 @@ def test_equality_insample_mean_matches_exact_finite_size_law():
     # sharp oracle for the whole pipeline (RNG scaling included).
     n, t, trials = 20, 40, 400
     uni = AssetUniverse.constant(1.0, n)
-    s = sweep(uni, [n / t], trials=trials, constraint="equality", seed=17)
-    p = s.points[0]
+    (p,) = sweep(uni, [n / t], trials=trials, constraint="equality", seed=17)
     assert p.t == t
     exact = (t - n + 1) / n
     assert abs(p.lambda_hat_mean - exact) < 3 * p.lambda_hat_se
@@ -175,17 +183,16 @@ def test_zero_variance_frequency_matches_wendel(n, t):
     # that the no-short problem has a zero-variance portfolio.
     trials = 400
     p = sum(math.comb(n - 1, k) for k in range(t, n)) / 2 ** (n - 1)
-    point = sweep(
+    (point,) = sweep(
         AssetUniverse.constant(1.0, n), [n / t], trials=trials, constraint="noshort", seed=0
-    ).points[0]
+    )
     assert point.t == t
     se = math.sqrt(p * (1.0 - p) / trials)
     assert abs(point.zero_variance_probability - p) <= 3.0 * se
 
 
 def test_keep_weights_and_histogram():
-    s = sweep(UNI, [1.5], trials=10, constraint="noshort", seed=6, keep_weights=True)
-    p = s.points[0]
+    (p,) = sweep(UNI, [1.5], trials=10, constraint="noshort", seed=6, keep_weights=True)
     assert p.weights is not None
     assert p.weights.shape == (10 * UNI.n,)
     assert np.all(p.weights >= 0)
@@ -199,8 +206,8 @@ def test_keep_weights_and_histogram():
     lo, hi = h.edges[k], h.edges[k + 1]
     direct = np.sum((wc >= lo) & (wc < hi)) / p.weights.size
     assert h.masses[k] == pytest.approx(direct, abs=1e-12)
-    no_weights = sweep(UNI, [1.5], trials=2, constraint="noshort", seed=6)
-    assert no_weights.points[0].weights is None
+    (no_weights,) = sweep(UNI, [1.5], trials=2, constraint="noshort", seed=6)
+    assert no_weights.weights is None
 
 
 def test_weight_histogram_validation():

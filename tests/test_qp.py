@@ -715,6 +715,36 @@ def test_noshort_near_duplicate_asset_swaps_into_free_set(monkeypatch):
     assert swapped
 
 
+def _scaled_copy_panels(draws):
+    """Panels `draws` of a fixed stream: T = N, N in [20, 120], unscaled Gaussian
+    returns, and 1-5 disjoint pairs x_a = (1 + eps) x_b with eps = 10^U(-14, -6)."""
+    rng = np.random.default_rng(1)
+    panels = {}
+    for i in range(max(draws) + 1):
+        n = int(rng.integers(20, 121))
+        x = rng.standard_normal((n, n))
+        k = int(rng.integers(1, 6))
+        pairs = rng.choice(n, 2 * k, replace=False).reshape(k, 2)
+        eps = 10.0 ** rng.uniform(-14, -6, size=k)
+        x[pairs[:, 0]] = (1.0 + eps)[:, None] * x[pairs[:, 1]]
+        if i in draws:
+            panels[i] = x
+    return panels
+
+
+# the draws of the first 200 whose solves miss the gate, at 1.03e-8 to 1.43e-8
+SCALED_COPY_MISSES = (3, 28, 37, 122, 140, 163)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND 74: min_variance_noshort misses the 1e-8 "
+                   "KKT gate on panels with near-scaled copies at T = N")
+def test_noshort_near_scaled_copies_meet_the_kkt_gate():
+    for i, x in _scaled_copy_panels(SCALED_COPY_MISSES).items():
+        c = CovMatrix.from_returns(x)
+        n = x.shape[0]
+        assert kkt_residual(c, min_variance_noshort(c, n), n) <= 1e-8, f"draw {i}"
+
+
 def _hull_swap_cov(seed):
     """Asset 3 is a copy of asset 0, 1 or 2 moved by 1e-8..3e-6."""
     rng = np.random.default_rng(seed)

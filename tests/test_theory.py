@@ -720,6 +720,11 @@ def _check_penalized(uni, r, reg):
 # r = 1 - 2^-52 under a penalty of 2^-126: a band below rounding, which
 # Newton cannot pin, so the closed-form root is the answer
 @example(log_r=math.log1p(-2.0**-52), spread=0.0, n=1, seed=0, eta1=0.0, eta2=2.0**-126)
+# r = 1 - 2^-52 with no penalty: delta = r/(1 - r) must come out of the
+# closing band whole, or the mixture mean misses 1 by ~4e-9
+@example(log_r=math.log1p(-2.0**-52), spread=0.5, n=1, seed=11, eta1=0.0, eta2=0.0)
+@example(log_r=math.log1p(-2.0**-52), spread=2.0, n=1, seed=11, eta1=0.0, eta2=0.0)
+@example(log_r=math.log1p(-2.0**-52), spread=2.0, n=5, seed=11, eta1=0.0, eta2=0.0)
 def test_penalized_solver_property(log_r, spread, n, seed, eta1, eta2):
     # eta1 = inf is refused by RegularizerParams itself (test_regularizer_validation)
     uni = AssetUniverse.lognormal(0.0, spread, n, seed)
