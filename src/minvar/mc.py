@@ -15,18 +15,24 @@ Determinism contract: every trial's stream is Philox keyed by
 SeedSequence(seed, spawn_key=(trial_index,)), trial indices are assigned
 before execution, and reductions run in trial order, so every number a
 sweep produces is a pure function of (seed, configuration), independent
-of thread count.
+of thread count. A sweep runs the OpenBLAS builds numpy and scipy ship at
+one thread each, so it is independent of OPENBLAS_NUM_THREADS as well.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
+import pathlib
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
+import scipy
 
 from .errors import ActiveSetError
 from .qp import CovMatrix, QpResult, min_variance_equality, min_variance_noshort
@@ -161,6 +167,55 @@ def run_trial(cfg: TrialConfig) -> QpResult:
         ) from exc
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and scipy ship.
+
+    A wheel bundles its build as `<package>.libs/libscipy_openblas*.so` next
+    to the package; numpy's ILP64 build suffixes the functions `64_`. Looked
+    up once per process; empty where the packages link another BLAS (MKL,
+    Accelerate, a system library).
+    """
+    found = []
+    for pkg in (np, scipy):
+        libs = pathlib.Path(pkg.__file__).parents[1] / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+                found.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                              getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+            except (OSError, AttributeError):
+                pass  # not a build of this naming: BLAS runs as set
+    return tuple(found)
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_sweeps = 0  # sweeps running; the first saves the thread counts, the last restores them
+_blas_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Limit each OpenBLAS of `_openblas_threads` to one thread while the block runs."""
+    global _blas_sweeps
+    libs = _openblas_threads()
+    with _BLAS_LOCK:
+        if _blas_sweeps == 0:
+            _blas_saved[:] = [get() for get, _ in libs]
+            for _, set_ in libs:
+                set_(1)
+        _blas_sweeps += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_sweeps -= 1
+            if _blas_sweeps == 0:
+                for (_, set_), n in zip(libs, _blas_saved):
+                    set_(n)
+
+
 def sweep(
     universe,
     r_grid,
@@ -180,6 +235,12 @@ def sweep(
     interpreter lock) and collected in trial order, point by point; results
     are identical for any thread count. Each result is reduced to its
     observables (and, with `keep_weights`, its weights) as it arrives.
+
+    While it runs, the OpenBLAS builds numpy and scipy ship are limited to
+    one thread each, a process-wide setting restored when the sweep ends:
+    at these sizes BLAS threads only contend with each other and with the
+    pool, and one thread makes every table independent of
+    OPENBLAS_NUM_THREADS. Where no such build is found, BLAS runs as set.
     """
     uni = as_universe(universe)
     if trials < 1:
@@ -189,6 +250,7 @@ def sweep(
         raise ValueError("ratios must be positive and finite")
     points = []
     with contextlib.ExitStack() as stack:
+        stack.enter_context(_one_blas_thread())
         run = map
         if threads > 1:  # one pool serves every grid point
             run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map

@@ -29,7 +29,10 @@ The module exposes:
 Scalar roots are found by Newton from the right of an increasing convex
 equation (`_newton_right`), which needs no bracket and no tolerance; the
 one non-convex scalar root, in the penalized solver's fallback start, is
-bisected. The penalized solver starts at the banned-shorts root. The
+bisected. The penalized solver starts at the banned-shorts root. Each
+root's per-asset terms (band edges, their cdf and pdf, the averages) are
+evaluated once: the solution record is assembled from the evaluation the
+solver made at the root, not from a second pass over the assets. The
 runtime needs only scipy.special (through `minvar.special`), not
 scipy.optimize.
 
@@ -52,12 +55,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CriticalPhaseError, NoConvergenceError, PhaseBoundaryError
-from .special import norm_cdf, norm_cdf_int, norm_pdf
+from .special import norm_cdf, norm_pdf
 
 # the banned and penalized branches treat r within this of 2 as critical: the
 # susceptibility ~ 4 / (2 - r) stays within 1% of it down to 2 - r ~ 1e-13,
@@ -294,19 +297,43 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / x.size
 
 
+class _Tails(NamedTuple):
+    """One evaluation of `_tail_terms` at (m, u): the averages and the arrays they come from.
+
+    The mean `s_phi` of the per-asset `cdf_sum` is taken only where it is
+    read. `b2` and `psi2` are None under a ban.
+    """
+
+    s_w: float
+    s_psi: float
+    cdf_sum: np.ndarray  # Phi(b1) + Phi(-b2) per asset, the S_Phi summands
+    b1: np.ndarray  # the positive band edge m / (sigma u)
+    b2: np.ndarray | None  # the negative band edge (m + eta1 + eta2) / (sigma u)
+    cdf: np.ndarray  # Phi(b1)
+    pdf: np.ndarray  # phi(b1)
+    psi2: np.ndarray | None  # Psi(-b2)
+    d: np.ndarray | None  # with `jac`, the derivatives of (S_W, S_Psi, S_Phi) in (m, u)
+
+    @property
+    def s_phi(self) -> float:
+        return _mean(self.cdf_sum)
+
+
 def _tail_terms(m: float, u: float, uni: AssetUniverse, reg: RegularizerParams,
-                jac: bool = False):
+                jac: bool = False) -> _Tails:
     """Population averages entering the saddle equations at scale u = sqrt(-2*q0_hat).
 
     The multiplier enters shifted, m = lam - eta1, so that b1 keeps its
-    digits where lam lies close to eta1. Returns (S_W, S_Psi, S_Phi, b1, b2,
-    d) where the S_* are means over assets of the second, first and zeroth
-    iterated cdf integrals evaluated at the standardized band edges
+    digits where lam lies close to eta1. The averages S_W, S_Psi and S_Phi
+    are means over assets of the second, first and zeroth iterated cdf
+    integrals evaluated at the standardized band edges
     b1_i = m/(sigma_i u) and -b2_i = -(m + eta1 + eta2)/(sigma_i u). A banned
     negative side (eta2 = inf) contributes exactly zero to every average.
 
     Each edge costs one cdf and one pdf; the integrals are formed from them
-    as in `minvar.special`. With `jac`, d is the 3x2 array of the derivatives
+    as in `minvar.special`, and the returned `_Tails` keeps the edge, cdf
+    and pdf arrays, so `_assemble` builds a solution from a root's own
+    evaluation. With `jac`, d is the 3x2 array of the derivatives
     of (S_W, S_Psi, S_Phi) in (m, u), exact through W' = Psi, Psi' = Phi,
     Phi' = phi and db/dm = 1/(sigma u), db/du = -b/u; otherwise d is None.
     """
@@ -316,69 +343,73 @@ def _tail_terms(m: float, u: float, uni: AssetUniverse, reg: RegularizerParams,
     psi = b1 * cdf + pdf
     s_w = 0.5 * ((b1 * b1 + 1.0) * cdf + b1 * pdf)
     s_psi = psi / sig
-    s_phi = cdf
+    cdf_sum = cdf
     if jac:
         d_psi_m, d_psi_u = cdf / sig, -b1 * cdf
         d_phi_m, d_phi_u = pdf, -b1 * pdf
         d_w_u = -b1 * psi
-    if math.isinf(reg.eta2):
-        b2 = np.full_like(b1, math.inf)
-    else:
+    b2 = psi2 = d = None
+    if not math.isinf(reg.eta2):
         b2 = (m + (reg.eta1 + reg.eta2)) / (sig * u)
         x = -b2
         cdf2, pdf2 = norm_cdf(x), norm_pdf(x)
         psi2 = x * cdf2 + pdf2
         s_w = s_w + 0.5 * ((x * x + 1.0) * cdf2 + x * pdf2)
         s_psi = s_psi - psi2 / sig
-        s_phi = s_phi + cdf2
+        cdf_sum = cdf_sum + cdf2
         if jac:
             d_psi_m = d_psi_m + cdf2 / sig
             d_psi_u = d_psi_u - b2 * cdf2
             d_phi_m = d_phi_m - pdf2
             d_phi_u = d_phi_u + b2 * pdf2
             d_w_u = d_w_u + b2 * psi2
-    s_w, s_psi, s_phi = _mean(s_w), _mean(s_psi), _mean(s_phi)
-    if not jac:
-        return s_w, s_psi, s_phi, b1, b2, None
-    d = np.array([
-        [s_psi, _mean(d_w_u)],
-        [_mean(d_psi_m / sig), _mean(d_psi_u / sig)],
-        [_mean(d_phi_m / sig), _mean(d_phi_u)],
-    ])
-    return s_w, s_psi, s_phi, b1, b2, d / u
+    s_w, s_psi = _mean(s_w), _mean(s_psi)
+    if jac:
+        d = np.array([
+            [s_psi, _mean(d_w_u)],
+            [_mean(d_psi_m / sig), _mean(d_psi_u / sig)],
+            [_mean(d_phi_m / sig), _mean(d_phi_u)],
+        ]) / u
+    return _Tails(s_w, s_psi, cdf_sum, b1, b2, cdf, pdf, psi2, d)
 
 
-def _assemble(uni, reg, r, m, u) -> ReplicaSolution:
+def _assemble(uni, reg, r, m, u, t: _Tails) -> ReplicaSolution:
     """Build the full solution record from a root (m = lam - eta1, u) of both saddle equations.
 
-    The susceptibility r S_Phi / (1 - r S_Phi) takes its denominator as
-    u r S_Psi, equal at a root of the second saddle equation and free of the
-    cancellation near r = 2 or under a weak penalty at r >= 1. With a finite
-    eta2, S_Psi is formed as mean((b1 + (Psi(-b1) - Psi(-b2))) / sigma): Psi(b1)
-    and Psi(-b2) both lie near phi(0) as the band closes (r -> 1 at eta = 0),
-    and the two Psi of equal arguments cancel exactly.
+    `t` is the root's own `_tail_terms` evaluation, which this reads rather
+    than evaluates again. The susceptibility r S_Phi / (1 - r S_Phi) takes
+    its denominator as u r S_Psi, equal at a root of the second saddle
+    equation and free of the cancellation near r = 2 or under a weak
+    penalty at r >= 1. With a finite eta2, S_Psi is formed as
+    mean((b1 + (Psi(-b1) - Psi(-b2))) / sigma): Psi(b1) and Psi(-b2) both
+    lie near phi(0) as the band closes (r -> 1 at eta = 0), and the two Psi
+    of equal arguments cancel exactly. Psi(-b2) is `t.psi2`, and Psi(-b1)
+    costs one cdf, since phi(-b1) is phi(b1) to the bit.
     """
-    s_w, s_psi, s_phi, b1, b2, _ = _tail_terms(m, u, uni, reg)
-    if not math.isinf(reg.eta2):
-        s_psi = _mean((b1 + (norm_cdf_int(-b1) - norm_cdf_int(-b2))) / uni._sig)
+    sig = uni._sig
+    s_psi = t.s_psi
+    if math.isinf(reg.eta2):
+        elim = norm_cdf(-t.b1)
+    else:
+        x = -t.b1
+        s_psi = _mean((t.b1 + ((x * norm_cdf(x) + t.pdf) - t.psi2)) / sig)
+        elim = norm_cdf(t.b2) - t.cdf
     lam = m + reg.eta1
     denom = u * r * s_psi
     if denom <= 0.0:
         raise CriticalPhaseError(
             "susceptibility diverges: u * r * mean(Psi / sigma) rounded to 0 (flat phase)"
         )
-    delta = r * s_phi / denom
+    delta = r * t.s_phi / denom
     v = 1.0 + delta
     q0 = u * u * r * v * v
     q0_hat = -0.5 * u * u
     delta_hat = 1.0 / (2.0 * r * v)
-    sig = uni._sig
     spread = np.sqrt(q0 * r) / sig
     w_pos = m * r * v / sig**2
     w_neg = (m + (reg.eta1 + reg.eta2)) * r * v / sig**2  # +inf under a ban
-    elim = norm_cdf(-b1) if math.isinf(reg.eta2) else norm_cdf(b2) - norm_cdf(b1)
     n0 = _mean(elim)
-    f = _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
+    f = _functional_value(lam, q0, delta, q0_hat, delta_hat, r, t.s_w)
     return ReplicaSolution(
         r=r,
         lam=lam,
@@ -446,8 +477,8 @@ def noshort_lambda(universe, r: float) -> float:
 def _first_equation(uni: AssetUniverse, r: float, reg: RegularizerParams, u: float):
     """First saddle equation at fixed u: m -> (2r S_W(m, u) - 1, its m-derivative 2r S_Psi/u)."""
     def first(m):
-        s_w, s_psi = _tail_terms(m, u, uni, reg)[:2]
-        return 2.0 * r * s_w - 1.0, 2.0 * r * (s_psi / u)
+        t = _tail_terms(m, u, uni, reg)
+        return 2.0 * r * t.s_w - 1.0, 2.0 * r * (t.s_psi / u)
 
     return first
 
@@ -509,7 +540,7 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
             "functional domain requires q0_hat < 0, delta_hat > 0, delta > -1"
         )
     u = math.sqrt(-2.0 * q0_hat)
-    s_w = _tail_terms(lam - reg.eta1, u, uni, reg)[0]
+    s_w = _tail_terms(lam - reg.eta1, u, uni, reg).s_w
     return _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
 
 
@@ -553,15 +584,16 @@ def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> flo
 
 
 def _saddle_residual(x, uni, r, reg):
-    """Residual of both saddle equations at x = (m, u), and its exact Jacobian."""
+    """Residual of both saddle equations at x = (m, u), its exact Jacobian, and the `_Tails` there."""
     m, u = x
-    s_w, s_psi, s_phi, _, _, d = _tail_terms(m, u, uni, reg, jac=True)
-    f = np.array([2.0 * r * s_w - 1.0, u * r * s_psi - 1.0 + r * s_phi])
+    t = _tail_terms(m, u, uni, reg, jac=True)
+    d = t.d
+    f = np.array([2.0 * r * t.s_w - 1.0, u * r * t.s_psi - 1.0 + r * t.s_phi])
     jac = np.array([
         [2.0 * r * d[0, 0], 2.0 * r * d[0, 1]],
-        [r * (u * d[1, 0] + d[2, 0]), r * (s_psi + u * d[1, 1] + d[2, 1])],
+        [r * (u * d[1, 0] + d[2, 0]), r * (t.s_psi + u * d[1, 1] + d[2, 1])],
     ])
-    return f, jac
+    return f, jac, t
 
 
 # damped Newton of general_l1_solve: residual target and iteration budget
@@ -599,7 +631,10 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     edge m/(sigma u) exact where lam lies within a few ulps of a large
     eta1. The Jacobian is exact, from the derivatives `_tail_terms` forms
     out of the same cdf and pdf arrays as the residual, so each candidate
-    point costs one cdf and one pdf per band edge. Steps are backtracked to
+    point costs one cdf and one pdf per band edge. Every route assembles
+    its solution from the `_tail_terms` evaluation at its root: Newton's
+    last accepted point or its polish step, or one evaluation at the
+    closed-form or banned-shorts root. Steps are backtracked to
     keep m and u positive (every budget-feasible portfolio pays eta1 per
     unit budget, so lam >= eta1 at the solution) and the residual
     decreasing.
@@ -628,8 +663,9 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
         # Newton near r = 1 stagnates (6e-5 relative off at 1 - r = 1.1e-12
         # at eta = 0) or leaves a root the weak band cannot pin
         lam = (1.0 - r) / (r * uni.mean_inv_var)
-        if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(uni._sig)) * math.sqrt(lam):
-            return _assemble(uni, reg, r, lam, math.sqrt(lam))
+        u = math.sqrt(lam)
+        if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(uni._sig)) * u:
+            return _assemble(uni, reg, r, lam, u, _tail_terms(lam, u, uni, reg))
     elif reg.eta1 == 0.0 and reg.eta2 == 0.0:
         raise PhaseBoundaryError(
             f"unconstrained estimator has no solution at r = {r:g}: the sample "
@@ -639,15 +675,16 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
     lam0 = noshort_lambda(uni, r)
+    u0 = math.sqrt(lam0)
     if reg.bans_shorts:
-        return _assemble(uni, reg, r, lam0, math.sqrt(lam0))
-    x, norm, why = _newton(np.array([lam0, math.sqrt(lam0)]), uni, r, reg)
+        return _assemble(uni, reg, r, lam0, u0, _tail_terms(lam0, u0, uni, reg))
+    x, norm, why, tails = _newton(np.array([lam0, u0]), uni, r, reg)
     if why is not None:
         # Newton stalls against the m = 0 wall, at a spurious root, or where
         # the equations are nearly degenerate (r ~ 1 under a weak penalty)
         alt = _newton(np.array(_bracketed_start(uni, r, reg)), uni, r, reg)
         if alt[2] is None or alt[1] <= norm:
-            x, norm, why = alt
+            x, norm, why, tails = alt
     if norm >= 1e-10 or (why == _UNPINNED and r < 1):
         raise NoConvergenceError(why, iterate=tuple(x), residual=norm)
     m, u = float(x[0]), float(x[1])
@@ -657,7 +694,7 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     resolved = r < 1 or (why != _UNPINNED and widest > 1e-13)
     if math.log(u) >= _LOG_U_MIN and resolved:
         try:
-            return _assemble(uni, reg, r, m, u)
+            return _assemble(uni, reg, r, m, u, tails)
         except CriticalPhaseError:
             pass  # u r S_Psi rounded to 0: m and the penalty are below resolution
     raise _unrepresentable(r, reg)
@@ -666,47 +703,49 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
 def _newton(x, uni, r, reg):
     """Damped Newton on (m, u) from x.
 
-    Returns (x, residual max-norm, why), `why` naming the reason the
-    iteration stopped short of a root pinned to NEWTON_TOL, or None.
+    Returns (x, residual max-norm, why, the `_Tails` at x), `why` naming the
+    reason the iteration stopped short of a root pinned to NEWTON_TOL, or None.
     """
-    fx, jac = _saddle_residual(x, uni, r, reg)
+    fx, jac, tails = _saddle_residual(x, uni, r, reg)
     norm0 = norm = float(np.max(np.abs(fx)))
     floor = 1e-300
     for it in range(NEWTON_MAX_ITER + 1):
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
-            return x, norm, _UNPINNED if norm < NEWTON_TOL else "singular Jacobian in saddle solve"
+            why = _UNPINNED if norm < NEWTON_TOL else "singular Jacobian in saddle solve"
+            return x, norm, why, tails
         if norm < NEWTON_TOL:
             break
         if it == NEWTON_MAX_ITER:
-            return x, norm, f"saddle solve above residual contract after {it} iterations"
+            return x, norm, f"saddle solve above residual contract after {it} iterations", tails
         alpha = 1.0
         while alpha > 1e-14:
             xn = x + alpha * step
             # physical roots have m = lam - eta1 > 0: the in-sample cost per
             # unit budget is at least the eta1 every budget-feasible portfolio pays
             if xn[0] > floor and xn[1] > floor:
-                fn, jn = _saddle_residual(xn, uni, r, reg)
+                fn, jn, tn = _saddle_residual(xn, uni, r, reg)
                 nn = float(np.max(np.abs(fn)))
                 if nn < norm * (1.0 - 1e-4 * alpha) or nn < NEWTON_TOL:
-                    x, fx, jac, norm = xn, fn, jn, nn
+                    x, fx, jac, norm, tails = xn, fn, jn, nn, tn
                     break
             alpha *= 0.5
         else:
-            return x, norm, "saddle solve stagnated"
+            return x, norm, "saddle solve stagnated", tails
     # at a root the tolerance pins, the next step is far below the point
     # itself; not so where the equations barely see the unknowns (r = 1
     # under a penalty of ~1e-12 sigma: any small m solves them to 1e-12)
     if not np.all(np.abs(step) <= 1e-2 * x):
-        return x, norm, _UNPINNED
+        return x, norm, _UNPINNED, tails
     if norm < norm0:
         # an iterate steps on to rounding, as near r = 1 the order parameters
         # magnify the residual by ~1/|1 - r|; a start within NEWTON_TOL stays
-        nn = float(np.max(np.abs(_saddle_residual(x + step, uni, r, reg)[0])))
+        fn, _, tn = _saddle_residual(x + step, uni, r, reg)
+        nn = float(np.max(np.abs(fn)))
         if nn < norm:
-            return x + step, nn, None
-    return x, norm, None
+            return x + step, nn, None, tn
+    return x, norm, None, tails
 
 
 def _bracketed_start(uni, r, reg) -> tuple[float, float]:

@@ -6,7 +6,10 @@ small-sample physics that has exact finite-size answers.
 """
 
 import math
+import os
+import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from minvar import (
     true_optimum,
     weight_histogram,
 )
+from minvar import mc
 from minvar.mc import OBSERVABLES, bin_grid
 
 
@@ -242,3 +246,74 @@ def test_weight_histogram_on_given_edges():
     assert np.array_equal(h.masses, np.array([3, 1]) / 8)
     empty = weight_histogram(np.zeros(3), edges=np.array([-1.0, 0.0, 1.0]))
     assert empty.atom == 1.0 and np.array_equal(empty.masses, np.zeros(2))
+
+
+def test_simulate_output_does_not_depend_on_openblas_threads():
+    # sweep runs numpy's and scipy's OpenBLAS at one thread each, so a no-short
+    # table is the same whether the environment pins BLAS or not; left at the
+    # library default of one thread per CPU, every row's last bits moved
+    cmd = [sys.executable, "-m", "minvar", "simulate", "--constraint", "noshort",
+           "--n", "100", "--r-grid", "0.5,1.0,1.9", "--trials", "100", "--seed", "3"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(cmd, capture_output=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 5
+
+
+def test_sweep_holds_blas_at_one_thread_and_restores_the_counts(monkeypatch):
+    libs = mc._openblas_threads()
+    assert mc._openblas_threads() is libs  # looked up once per process
+    before = [get() for get, _ in libs]
+    seen = []
+    run_trial = mc.run_trial
+
+    def traced(cfg):
+        seen.append([get() for get, _ in libs])
+        if cfg.trial_index == 5:
+            raise RuntimeError("trial failed")
+        return run_trial(cfg)
+
+    monkeypatch.setattr(mc, "run_trial", traced)
+    sweep(UNI, [0.5], trials=4, constraint="noshort", seed=0, threads=2)
+    assert seen == [[1] * len(libs)] * 4
+    assert [get() for get, _ in libs] == before
+    with pytest.raises(RuntimeError, match="trial failed"):
+        sweep(UNI, [0.5, 1.0], trials=4, constraint="noshort", seed=0)
+    assert [get() for get, _ in libs] == before
+
+
+def test_overlapping_sweeps_restore_the_counts_when_the_last_ends(monkeypatch):
+    # sweep A starts, sweep B starts inside it, A ends first: B still runs at
+    # one thread, and the counts from before A come back only when B ends
+    libs = mc._openblas_threads()
+    before = [get() for get, _ in libs]
+    entered = {seed: threading.Event() for seed in (1, 2)}
+    release = {seed: threading.Event() for seed in (1, 2)}
+    run_trial = mc.run_trial
+
+    def gated(cfg):
+        entered[cfg.seed].set()
+        assert release[cfg.seed].wait(30)
+        return run_trial(cfg)
+
+    monkeypatch.setattr(mc, "run_trial", gated)
+    sweeps = {seed: threading.Thread(target=sweep, args=(UNI, [0.5]),
+                                     kwargs=dict(trials=1, constraint="noshort", seed=seed))
+              for seed in (1, 2)}
+    try:
+        for seed in (1, 2):
+            sweeps[seed].start()
+            assert entered[seed].wait(30)
+        release[1].set()
+        sweeps[1].join(30)
+        assert [get() for get, _ in libs] == [1] * len(libs)
+    finally:
+        for seed in (1, 2):
+            release[seed].set()
+            if sweeps[seed].is_alive():
+                sweeps[seed].join(30)
+    assert [get() for get, _ in libs] == before

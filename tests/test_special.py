@@ -7,6 +7,8 @@ used in the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from minvar.special import norm_cdf, norm_cdf_int, norm_pdf
@@ -101,3 +103,12 @@ def test_norm_cdf_is_exactly_one_past_the_skip_bound():
     assert norm_cdf(np.inf) == 1.0
     assert norm_cdf(_CDF_ONE) == 1.0
     assert norm_cdf(8.29) < 1.0
+
+
+@given(arrays(float, st.integers(1, 50), elements=st.floats(-40.0, 40.0)))
+@example(np.array([0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324]))
+def test_reflected_pdf_and_cdf_integral_are_exact_to_the_bit(x):
+    # minvar.theory forms Psi(-b1) from one cdf and the pdf of b1, and reads
+    # Psi(-b2) off the tail terms, on these identities
+    assert norm_pdf(-x).tobytes() == norm_pdf(x).tobytes()
+    assert ((-x) * norm_cdf(-x) + norm_pdf(x)).tobytes() == norm_cdf_int(-x).tobytes()

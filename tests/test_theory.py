@@ -536,6 +536,57 @@ def test_general_solver_under_a_ban_runs_no_newton(monkeypatch, eta1):
     assert calls == []
 
 
+@pytest.mark.parametrize("eta, r, root_evals", [
+    pytest.param((0.3, 1.5), 0.5, 0, id="penalized-r0.5"),
+    pytest.param((0.3, 1.5), 1.5, 0, id="penalized-r1.5"),
+    pytest.param((0.3, math.inf), 1.5, 1, id="ban-r1.5"),
+    pytest.param((0.0, 0.0), 0.5, 1, id="closed-form-r0.5"),
+])
+def test_a_root_is_assembled_from_its_own_tail_terms(monkeypatch, eta, r, root_evals):
+    # every saddle residual and every first-equation value evaluates the tail
+    # terms once; a Newton root is assembled from its last evaluation, the
+    # ban and closed-form roots from one evaluation at the root, and
+    # `_assemble` itself evaluates none
+    counts = dict(tails=0, in_assemble=0, residual=0, first=0)
+    inside = []
+    tail_terms, assemble = theory._tail_terms, theory._assemble
+    residual, first_equation = theory._saddle_residual, theory._first_equation
+
+    def counted_tails(*args, **kwargs):
+        counts["tails"] += 1
+        counts["in_assemble"] += bool(inside)
+        return tail_terms(*args, **kwargs)
+
+    def counted_assemble(*args):
+        inside.append(args)
+        try:
+            return assemble(*args)
+        finally:
+            inside.pop()
+
+    def counted_residual(*args):
+        counts["residual"] += 1
+        return residual(*args)
+
+    def counted_first_equation(*args):
+        first = first_equation(*args)
+
+        def counted(m):
+            counts["first"] += 1
+            return first(m)
+
+        return counted
+
+    for name, fn in (("_tail_terms", counted_tails), ("_assemble", counted_assemble),
+                     ("_saddle_residual", counted_residual),
+                     ("_first_equation", counted_first_equation)):
+        monkeypatch.setattr(theory, name, fn)
+    general_l1_solve(AssetUniverse.lognormal(0.0, 0.5, 50, 7), r, RegularizerParams(*eta))
+    assert counts["in_assemble"] == 0
+    assert (counts["residual"] > 0) == (root_evals == 0)
+    assert counts["tails"] == counts["residual"] + counts["first"] + root_evals
+
+
 def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
     # at r = 1 under a penalty of 1e-12 sigma the equations barely see m, so
     # Newton from the banned-shorts root leaves the root unpinned
@@ -745,7 +796,8 @@ def test_saddle_jacobian_matches_central_differences(reg):
     for _ in range(20):
         r = float(rng.uniform(0.05, 1.95))
         x = np.array([rng.uniform(-0.25, 3.0), rng.uniform(0.1, 3.0)])
-        f, jac = _saddle_residual(x, uni, r, reg)
+        f, jac, tails = _saddle_residual(x, uni, r, reg)
+        assert tails.d is not None
         first = _first_equation(uni, r, reg, x[1])(x[0])
         assert first == pytest.approx((f[0], jac[0, 0]), rel=1e-15, abs=0.0)
         fd = np.empty((2, 2))
