@@ -15,8 +15,10 @@ Determinism contract: every trial's stream is Philox keyed by
 SeedSequence(seed, spawn_key=(trial_index,)), trial indices are assigned
 before execution, and reductions run in trial order, so every number a
 sweep produces is a pure function of (seed, configuration), independent
-of thread count. A sweep runs the OpenBLAS builds numpy and scipy ship at
-one thread each, so it is independent of OPENBLAS_NUM_THREADS as well.
+of thread count. Where the OpenBLAS that numpy and scipy ship is found as
+the Linux wheels bundle it (see `_openblas_threads`), a sweep runs it at
+one thread, so its numbers are independent of OPENBLAS_NUM_THREADS as
+well; elsewhere BLAS runs as set and can move their last bits.
 """
 
 from __future__ import annotations
@@ -171,10 +173,11 @@ def run_trial(cfg: TrialConfig) -> QpResult:
 def _openblas_threads() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS that numpy and scipy ship.
 
-    A wheel bundles its build as `<package>.libs/libscipy_openblas*.so` next
-    to the package; numpy's ILP64 build suffixes the functions `64_`. Looked
-    up once per process; empty where the packages link another BLAS (MKL,
-    Accelerate, a system library).
+    A Linux wheel bundles its build as `<package>.libs/libscipy_openblas*.so`
+    next to the package; numpy's ILP64 build suffixes the functions `64_`.
+    Looked up once per process; empty elsewhere, including the macOS and
+    Windows wheels (`.dylib` under `<package>/.dylibs`, `.dll`) and packages
+    that link another BLAS (MKL, Accelerate, a system library).
     """
     found = []
     for pkg in (np, scipy):
@@ -237,10 +240,12 @@ def sweep(
     observables (and, with `keep_weights`, its weights) as it arrives.
 
     While it runs, the OpenBLAS builds numpy and scipy ship are limited to
-    one thread each, a process-wide setting restored when the sweep ends:
-    at these sizes BLAS threads only contend with each other and with the
-    pool, and one thread makes every table independent of
-    OPENBLAS_NUM_THREADS. Where no such build is found, BLAS runs as set.
+    one thread each, a process-wide setting restored when the sweep ends, so
+    every table is independent of OPENBLAS_NUM_THREADS. Where no such build
+    is found (`_openblas_threads`), BLAS runs as set. On 2 vCPUs one thread
+    was also the faster: a `threads=1` no-short sweep at N = 400 took 2.2 s
+    against 5.4 s with BLAS at its default of two, equality 1.7 s against
+    2.5 s. On more cores it has not been measured.
     """
     uni = as_universe(universe)
     if trials < 1:
