@@ -16,9 +16,11 @@ from the file alone. The spec excludes --threads and --out on purpose:
 outputs are byte-identical across thread counts.
 
 Exit codes: 0 success, 2 malformed request (including a negative or NaN
-penalty and a count below its minimum), 3 solver failure. Ratios a branch
-refuses (phase boundaries) are not errors: the row is emitted with status
-"critical-boundary" and empty numerics.
+penalty, a count below its minimum, an unreadable or unwritable file, an
+unparseable table and an out-of-range sigma, one whose mean(1/sigma) or
+mean(1/sigma^2) is not positive and finite), 3 solver failure. Ratios a
+branch refuses (phase boundaries) are not errors: the row is emitted with
+status "critical-boundary" and empty numerics.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ActiveSetError,
-    CovarianceError,
-    NoConvergenceError,
-    PhaseBoundaryError,
-)
+from .errors import CovarianceError, NoConvergenceError, PhaseBoundaryError
 from .mc import OBSERVABLES, POINT_FIELDS, WEIGHT_ZERO_RTOL, bin_grid, sweep, weight_histogram
 from .theory import AssetUniverse, RegularizerParams, general_l1_solve
 from .weights import build_mixture
+
+__all__ = [
+    "EXIT_OK", "EXIT_USAGE", "EXIT_SOLVER", "UsageError", "parse_r_grid", "parse_sigma",
+    "write_rows", "read_table", "build_parser", "main",
+]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -184,33 +186,42 @@ def write_rows(out: str, spec: dict, fieldnames: list[str], rows: list[dict], fm
             fh.write(text)
 
 
+# CSV cells that write_rows does not write as a number or text
+_CELLS = {None: None, "": None, "true": True, "false": False}
+
+
+def _cell(text):
+    """One CSV cell, parsed back: None, a bool, a float, or the text itself."""
+    if text in _CELLS:
+        return _CELLS[text]
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_table(path: str):
-    """Read a table written by write_rows; returns (spec, rows) with floats parsed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.startswith("# spec="):
-        lines = text.splitlines()
-        spec = json.loads(lines[0][len("# spec="):])
-        body = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
-        rows = []
-        for raw in csv.DictReader(body):
-            row = {}
-            for key, val in raw.items():
-                if val == "" or val is None:
-                    row[key] = None
-                elif val == "true":
-                    row[key] = True
-                elif val == "false":
-                    row[key] = False
-                else:
-                    try:
-                        row[key] = float(val)
-                    except ValueError:
-                        row[key] = val
-            rows.append(row)
-        return spec, rows
-    data = json.loads(text)
-    return data["spec"], data["rows"]
+    """Read a table written by write_rows; returns (spec, rows) with floats parsed.
+
+    Raises ValueError, naming `path`, for a file that is not such a table.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith("# spec="):
+            lines = text.splitlines()
+            spec = json.loads(lines[0][len("# spec="):])
+            body = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
+            rows = [{k: _cell(v) for k, v in raw.items()} for raw in csv.DictReader(body)]
+        else:
+            data = json.loads(text)
+            spec, rows = data["spec"], data["rows"]
+        if not (isinstance(spec, dict) and isinstance(rows, list)
+                and all(isinstance(row, dict) for row in rows)):
+            raise TypeError("needs a spec object and a list of row objects")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a minvar table: {exc!r}") from None
+    return spec, rows
 
 
 def _request(args, reg=None):
@@ -244,10 +255,7 @@ def _corner_reg(constraint: str, eta1, eta2) -> RegularizerParams:
         if constraint == "equality":
             return RegularizerParams.none()
         return RegularizerParams.short_ban()
-    try:
-        return RegularizerParams(eta1 or 0.0, eta2 or 0.0)
-    except ValueError as exc:  # negative, NaN, or an infinite eta1
-        raise UsageError(str(exc)) from None
+    return RegularizerParams(eta1 or 0.0, eta2 or 0.0)
 
 
 def _corner(reg: RegularizerParams) -> str | None:
@@ -351,10 +359,7 @@ def cmd_weights(args) -> int:
             rows.append({**atom, "status": "critical-boundary"})
             continue
         mix = build_mixture(sol)
-        try:
-            edges = _bin_edges(mix, bw, pooled)
-        except ValueError as exc:  # a bin width too small for the weight range
-            raise UsageError(str(exc)) from None
+        edges = _bin_edges(mix, bw, pooled)
         masses = mix.bin_mass(edges)
         mc_atom, mc_masses = None, [None] * len(masses)
         if pooled is not None:
@@ -497,12 +502,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoConvergenceError, ActiveSetError, CovarianceError) as exc:
+    except (NoConvergenceError, CovarianceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

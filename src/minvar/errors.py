@@ -1,5 +1,8 @@
 """Exception hierarchy for phase boundaries and solver failures."""
 
+__all__ = ["ActiveSetError", "CovarianceError", "CriticalPhaseError", "NoConvergenceError",
+           "PhaseBoundaryError"]
+
 
 class PhaseBoundaryError(ValueError):
     """The requested sample-size ratio sits at or beyond a phase boundary.

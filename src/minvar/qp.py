@@ -205,10 +205,8 @@ class QpResult:
     equality solver reports its minimum-norm representative, the no-short
     solver a vertex-like point with at most rank(C) + 1 nonzero weights,
     where rank(C) is `CovMatrix.rank`. `lam` is the budget multiplier at the
-    solution. `iterations` counts the no-short solver's active-set steps
-    (adds plus drops; a hull swap counts as a drop plus an add) and is 0
-    for the other solvers. The record holds the optimum only, never the
-    covariance. Records compare and hash by identity, as `CovMatrix` does.
+    solution. The record holds the optimum only, never the covariance.
+    Records compare and hash by identity, as `CovMatrix` does.
     """
 
     weights: np.ndarray
@@ -217,7 +215,6 @@ class QpResult:
     degenerate: bool
     constraint: str
     lam: float
-    iterations: int = 0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -489,14 +486,14 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     is negative leaves at step length 0, and by Wolfe's lemma the last new
     member left keeps a positive weight, so the objective falls strictly at
     every major step and the method terminates as with single adds. Assets
-    outside the corral have exactly zero weight in the result, and
-    `iterations` counts adds plus drops. Flat (zero-variance) optima are
-    detected from the final objective against the scaled threshold and
-    flagged, never regularized; they end with at most rank(C) + 1 corral
-    members. Raises ValueError on a budget that is negative or not finite,
-    and ActiveSetError, at the corral as it stands, before a step past the
-    cap (50 N, or `max_iter`): a batch is cut to the steps left, and a drop
-    or a swap that does not fit fails.
+    outside the corral have exactly zero weight in the result. Flat
+    (zero-variance) optima are detected from the final objective against
+    the scaled threshold and flagged, never regularized; they end with at
+    most rank(C) + 1 corral members. Raises ValueError on a budget that is
+    negative or not finite, and ActiveSetError, at the corral as it stands,
+    before a step past the cap of 50 N adds plus drops (or `max_iter`): a
+    batch is cut to the steps left, and a drop or a swap (a drop plus an
+    add) that does not fit fails.
     """
     cov = _as_cov(c)
     n = cov.n
@@ -589,7 +586,6 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         degenerate=obj <= cov.tol_zero,
         constraint="noshort",
         lam=lam,
-        iterations=steps,
     )
 
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
+__all__ = ["norm_pdf", "norm_cdf", "norm_cdf_int"]
+
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 

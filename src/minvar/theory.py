@@ -73,7 +73,6 @@ __all__ = [
     "ReplicaSolution",
     "OptimalPortfolio",
     "CriticalPoint",
-    "as_universe",
     "true_optimum",
     "unconstrained_solution",
     "noshort_lambda",
@@ -92,7 +91,8 @@ class AssetUniverse:
     Parameters
     ----------
     sigmas : tuple of float
-        Positive, finite standard deviations, one per asset.
+        Positive, finite standard deviations, one per asset, whose c1 and
+        c2 (module docstring) are positive and finite too.
     """
 
     sigmas: tuple[float, ...]
@@ -104,6 +104,12 @@ class AssetUniverse:
         if any(not math.isfinite(s) or s <= 0.0 for s in sig):
             raise ValueError("sigmas must be positive and finite")
         object.__setattr__(self, "sigmas", sig)
+        with np.errstate(over="ignore", divide="ignore"):
+            c1, c2 = self.mean_inv_sigma, self.mean_inv_var
+        if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+            raise ValueError(
+                "sigmas out of range: mean(1/sigma) and mean(1/sigma^2) must be positive and finite"
+            )
 
     @classmethod
     def constant(cls, sigma: float, n: int) -> "AssetUniverse":
@@ -261,6 +267,8 @@ class ReplicaSolution:
             and self.delta_hat > 0
             and self.delta >= 0
             and 0.0 <= self.n0 <= 1.0
+            and all(map(math.isfinite, (self.lam, self.delta, self.q0, self.q0_hat,
+                                        self.delta_hat, self.free_energy, self.q0_tilde)))
         )
         if not ok:
             raise ValueError("order parameters violate saddle-point invariants")

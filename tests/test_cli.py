@@ -603,6 +603,43 @@ def test_bad_sigmas_are_usage_errors(sigma, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "{table}", "{tmp}/missing.csv"], "No such file or directory"),
+        (["compare", "{table}", "{tmp}/empty.csv"], "empty.csv is not a minvar table"),
+        (["compare", "{table}", "{tmp}/bad-spec.csv"], "bad-spec.csv is not a minvar table"),
+        (["compare", "{tmp}/no-spec.json", "{table}"], "no-spec.json is not a minvar table"),
+        (["simulate", "--r-grid", "0.5", "--n", "3", "--trials", "1",
+          "--out", "{tmp}/no/such/dir/x.csv"], "No such file or directory"),
+        # numpy refuses the panel's shape before allocating it
+        (["simulate", "--r-grid", "1e-300", "--n", "3", "--trials", "1"], "dimension"),
+        (["replica", "--n", "5", "--r-grid", "0.5", "--sigma", "const:1e160"], "out of range"),
+        (["replica", "--n", "5", "--r-grid", "0.5", "--sigma", "const:1e200"], "out of range"),
+        (["replica", "--n", "5", "--r-grid", "0.5", "--sigma", "const:1e-160"], "out of range"),
+        (["simulate", "--n", "5", "--trials", "1", "--r-grid", "0.5",
+          "--sigma", "const:1.5e-154"], "out of range"),
+        (["replica", "--n", "5", "--r-grid", "0.5", "--eta1", "0.3", "--eta2", "1.5",
+          "--sigma", "const:1e154"], "violate saddle-point invariants"),
+        (["replica", "--n", "5", "--r-grid", "0.5", "--sigma", "const:1e154"],
+         "violate saddle-point invariants"),
+    ],
+)
+def test_unusable_inputs_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    table = tmp_path / "replica.csv"
+    assert run_cli("replica", "--r-grid", "0.5", "--n", "1", "--out", str(table)) == EXIT_OK
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "bad-spec.csv").write_text("# spec={bad\nr,status\n")
+    (tmp_path / "no-spec.json").write_text('{"rows": []}\n')
+    argv = [a.format(table=table, tmp=tmp_path) for a in argv]
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    lines = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli("frobnicate") == EXIT_USAGE
     capsys.readouterr()

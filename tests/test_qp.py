@@ -201,8 +201,7 @@ def test_degenerate_results_do_not_keep_the_covariance():
 def _same_result(a, b):
     return a.weights.tobytes() == b.weights.tobytes() and all(
         getattr(a, k) == getattr(b, k)
-        for k in ("objective", "active_set", "degenerate", "constraint", "lam",
-                  "iterations")
+        for k in ("objective", "active_set", "degenerate", "constraint", "lam")
     )
 
 
@@ -767,9 +766,11 @@ def test_noshort_hull_swap_matches_brute_force(seed, monkeypatch):
     assert res.objective == pytest.approx(ref.objective, abs=1e-14)
 
 
-def test_noshort_cap_reports_free_set_and_residual():
+def test_noshort_cap_reports_free_set_and_residual(monkeypatch):
     c = CovMatrix(np.eye(5))
-    assert min_variance_noshort(c, 5.0).iterations == 4  # four adds, no drop
+    trace = _trace_steps(monkeypatch)
+    min_variance_noshort(c, 5.0)
+    assert trace["steps"] == 4  # four adds, no drop
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 5.0, max_iter=2)
     err = info.value
@@ -833,19 +834,20 @@ def test_noshort_batch_is_one_block_per_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_noshort_batch_can_free_every_asset(n):
+def test_noshort_batch_can_free_every_asset(n, monkeypatch):
     # one batch takes every outside asset, the corral ends up holding all N
     # and the next gradient has no candidate left
     c = CovMatrix(np.diag(np.linspace(1.0, 2.0, n)))
+    trace = _trace_steps(monkeypatch)
     res = min_variance_noshort(c, float(n))
     inv = 1.0 / np.diagonal(c.matrix)
     assert res.active_set == ()
-    assert res.iterations == n - 1  # one batch of adds, no drop
+    assert trace["steps"] == n - 1  # one batch of adds, no drop
     assert np.allclose(res.weights, n * inv / inv.sum(), rtol=1e-12, atol=0.0)
     assert kkt_residual(c, res, float(n)) <= 1e-12
 
 
-def test_noshort_batch_stops_before_near_duplicate_pivot():
+def test_noshort_batch_stops_before_near_duplicate_pivot(monkeypatch):
     # assets 1 and 2 are near-duplicates with tied multipliers at the start,
     # so both land in the first batch; asset 2 lies (to 1e-13) in the affine
     # hull of {0, 1}, so the block stops before it instead of appending it
@@ -853,8 +855,9 @@ def test_noshort_batch_stops_before_near_duplicate_pivot():
     # negative
     x = np.array([[1.0, 0.0], [0.0, 1.2], [0.0, 1.2 * (1.0 + 1e-13)]])
     c = CovMatrix(x @ x.T)
+    trace = _trace_steps(monkeypatch)
     res = min_variance_noshort(c, 1.0)
-    assert res.iterations == 1  # the add of asset 1 only
+    assert trace["steps"] == 1  # the add of asset 1 only
     assert res.weights[2] == 0.0
     assert res.active_set == (2,)
     ref = brute_force_noshort(c, 1.0)
@@ -862,7 +865,7 @@ def test_noshort_batch_stops_before_near_duplicate_pivot():
     assert kkt_residual(c, res, 1.0) <= 1e-12
 
 
-def test_noshort_cap_cuts_the_batch_and_counts_only_its_adds():
+def test_noshort_cap_cuts_the_batch_and_counts_only_its_adds(monkeypatch):
     # at the start assets 1, 2 and 3 tie and form one batch, in that order;
     # asset 2 lies (to 1e-13) in the affine hull of {0, 1}. A cap of one
     # step cuts the batch to asset 1, and 2 is not improving at the next
@@ -871,16 +874,18 @@ def test_noshort_cap_cuts_the_batch_and_counts_only_its_adds():
     # the batch to 1 and 2; the block stops before 2, so it counts one step,
     # and 3 enters at the next gradient
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 1.2 * (1.0 + 1e-13), 0.0]])
+    trace = _trace_steps(monkeypatch)
     res = min_variance_noshort(CovMatrix(x @ x.T), 1.0, max_iter=1)
-    assert res.iterations == 1
+    assert trace["steps"] == 1
     assert res.active_set == (2,)
     x = np.vstack([x, [0.0, 0.0, 1.3]])
     c = CovMatrix(x @ x.T)
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 1.0, max_iter=1)
     assert info.value.iterate == [0, 1]
+    trace["steps"] = 0
     res = min_variance_noshort(c, 1.0, max_iter=2)
-    assert res.iterations == 2
+    assert trace["steps"] == 2
     assert res.active_set == (2,)
     ref = brute_force_noshort(c, 1.0)
     assert res.objective == pytest.approx(ref.objective, rel=1e-12)
@@ -902,7 +907,7 @@ def test_noshort_batch_breaks_ties_by_lowest_index():
     assert info.value.iterate == [5, 0, 1, 2, 3, 4, 6, 7, 8]
 
 
-def test_noshort_ratio_tie_drops_the_lowest_asset_index():
+def test_noshort_ratio_tie_drops_the_lowest_asset_index(monkeypatch):
     # from the start asset 2 one batch adds 3, 1 and 0, in multiplier order;
     # the affine weights of the new zero-weight members 1 and 0 are both
     # negative (-3.0 and -5.4), so both block at step length 0. Asset 0, the
@@ -914,8 +919,9 @@ def test_noshort_ratio_tie_drops_the_lowest_asset_index():
     with pytest.raises(ActiveSetError) as info:
         min_variance_noshort(c, 4.0, max_iter=3)
     assert info.value.iterate == [2, 3, 1, 0]
+    trace = _trace_steps(monkeypatch)
     res = min_variance_noshort(c, 4.0)
-    assert res.iterations == 4  # three adds, one drop
+    assert trace["steps"] == 4  # three adds, one drop
     assert res.active_set == (0,)
     assert res.weights[1] > 0.0
     ref = brute_force_noshort(c, 4.0)
@@ -968,12 +974,6 @@ def test_noshort_optimum_does_not_depend_on_the_batch_size(n, monkeypatch):
             else:
                 assert res.degenerate
                 assert np.count_nonzero(res.weights) <= t + 1
-
-
-def test_iterations_zero_outside_the_active_set():
-    c = CovMatrix(np.diag([1.0, 4.0, 2.0]))
-    assert min_variance_equality(c, 3.0).iterations == 0
-    assert brute_force_noshort(c, 3.0).iterations == 0
 
 
 @pytest.mark.parametrize("r", [1.0, 1.9, 2.5])

@@ -26,9 +26,12 @@ It writes, through `minvar.cli.main`:
     after the `simulate` tables by the same parser, so its subparser
     defaults (the no-short constraint, the phase columns) are diffed too.
 
-and prints one `sha256  name` line per table. BLAS is pinned to one thread
-before numpy is loaded, since the no-short Monte Carlo tables hold per BLAS
-configuration only.
+and prints one `sha256  name` line per table. A sweep runs the OpenBLAS
+that the Linux numpy and scipy wheels bundle at one thread itself, so there
+the tables do not depend on the BLAS thread count. BLAS is still pinned to
+one thread through the environment, before numpy is loaded, for the builds
+a sweep cannot find (other wheels' libraries, MKL, a system BLAS), whose
+no-short Monte Carlo tables hold per BLAS configuration only.
 """
 
 from __future__ import annotations
