@@ -17,10 +17,11 @@ outputs are byte-identical across thread counts.
 
 Exit codes: 0 success, 2 malformed request (including a negative or NaN
 penalty, a count below its minimum, an unreadable or unwritable file, an
-unparseable table and an out-of-range sigma, one whose mean(1/sigma) or
-mean(1/sigma^2) is not positive and finite), 3 solver failure. Ratios a
-branch refuses (phase boundaries) are not errors: the row is emitted with
-status "critical-boundary" and empty numerics.
+unparseable table or one that lacks a number `compare` computes with, and an
+out-of-range sigma, one whose mean(1/sigma) or mean(1/sigma^2) is not
+positive and finite), 3 solver failure. Ratios a branch refuses (phase
+boundaries) are not errors: the row is emitted with status
+"critical-boundary" and empty numerics.
 """
 
 from __future__ import annotations
@@ -41,17 +42,13 @@ from .theory import AssetUniverse, RegularizerParams, general_l1_solve
 from .weights import build_mixture
 
 __all__ = [
-    "EXIT_OK", "EXIT_USAGE", "EXIT_SOLVER", "UsageError", "parse_r_grid", "parse_sigma",
+    "EXIT_OK", "EXIT_USAGE", "EXIT_SOLVER", "parse_r_grid", "parse_sigma",
     "write_rows", "read_table", "build_parser", "main",
 ]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
-
-
-class UsageError(ValueError):
-    """Malformed request (bad grid, bad sigma spec, inconsistent flags)."""
 
 
 def parse_r_grid(text: str) -> list[float]:
@@ -78,9 +75,9 @@ def parse_r_grid(text: str) -> list[float]:
             if not out:
                 raise ValueError
     except ValueError:
-        raise UsageError(f"cannot parse r grid {text!r}") from None
+        raise ValueError(f"cannot parse r grid {text!r}") from None
     if any(not math.isfinite(v) or v <= 0 for v in out):
-        raise UsageError("ratios must be positive and finite")
+        raise ValueError("ratios must be positive and finite")
     return out
 
 
@@ -88,18 +85,18 @@ def parse_sigma(spec: str, n: int | None):
     """Sigma spec: const:<v> | file:<path> | lognormal:<mu>,<s>,<seed>.
 
     Returns (universe, resolved_sigmas_or_None). File universes resolve to
-    an explicit list so the embedded spec stays self-contained.
+    an explicit list so the embedded spec stays self-contained. Raises
+    ValueError for a malformed spec or sigmas `AssetUniverse` refuses, and
+    OSError for a file that cannot be read.
     """
     kind, sep, arg = spec.partition(":")
     if not sep:
-        raise UsageError(f"bad sigma spec {spec!r}")
+        raise ValueError(f"bad sigma spec {spec!r}")
     if kind == "const":
         try:
             v = float(arg)
         except ValueError:
-            raise UsageError(f"bad sigma constant {arg!r}") from None
-        if not math.isfinite(v) or v <= 0:
-            raise UsageError("sigma must be positive and finite")
+            raise ValueError(f"bad sigma constant {arg!r}") from None
         return AssetUniverse.constant(v, n or 100), None
     if kind == "file":
         try:
@@ -109,33 +106,23 @@ def parse_sigma(spec: str, n: int | None):
                     line = line.split("#", 1)[0].strip()
                     if line:
                         vals.append(float(line))
-        except OSError as e:
-            raise UsageError(f"cannot read sigma file: {e}") from None
         except ValueError:
-            raise UsageError("sigma file must hold one decimal per line") from None
+            raise ValueError("sigma file must hold one decimal per line") from None
         if not vals:
-            raise UsageError("sigma file is empty")
+            raise ValueError("sigma file is empty")
         if n is not None and n != len(vals):
-            raise UsageError(
-                f"--n {n} conflicts with sigma file of length {len(vals)}"
-            )
-        try:
-            return AssetUniverse(tuple(vals)), [float(v) for v in vals]
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+            raise ValueError(f"--n {n} conflicts with sigma file of length {len(vals)}")
+        return AssetUniverse(tuple(vals)), vals
     if kind == "lognormal":
         try:
             mu_s, s_s, seed_s = arg.split(",")
             mu, s, sd = float(mu_s), float(s_s), int(seed_s)
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 "lognormal sigma needs mu,s,seed (e.g. lognormal:0.0,0.5,7)"
             ) from None
-        try:
-            return AssetUniverse.lognormal(mu, s, n or 100, sd), None
-        except ValueError as e:  # a negative spread or seed, or sigmas that are not finite
-            raise UsageError(f"bad lognormal sigma: {e}") from None
-    raise UsageError(f"unknown sigma kind {kind!r}")
+        return AssetUniverse.lognormal(mu, s, n or 100, sd), None
+    raise ValueError(f"unknown sigma kind {kind!r}")
 
 
 def _int_at_least(low: int):
@@ -302,7 +289,7 @@ PHASE_FIELDS = [*_POINT_COLUMNS, *(c for o in OBSERVABLES if o.boolean for c in 
 def cmd_simulate(args) -> int:
     """`simulate`, and `phase` (no-short, PHASE_FIELDS) through the same sweep."""
     if args.eta1 is not None or args.eta2 is not None:
-        raise UsageError(
+        raise ValueError(
             "simulate only implements the equality and noshort corners; "
             "penalty values cannot be simulated"
         )
@@ -339,10 +326,10 @@ def cmd_weights(args) -> int:
     reg = _corner_reg(args.constraint, args.eta1, args.eta2)
     grid, universe, spec = _request(args, reg)
     if args.trials > 0 and _corner(reg) is None:
-        raise UsageError("Monte Carlo weight bins only exist for the corner constraints")
+        raise ValueError("Monte Carlo weight bins only exist for the corner constraints")
     bw = args.bin_width
     if not (bw > 0 and math.isfinite(bw)):
-        raise UsageError("bin width must be positive and finite")
+        raise ValueError("bin width must be positive and finite")
     points = [None] * len(grid)
     if args.trials > 0:
         points = sweep(
@@ -384,34 +371,44 @@ def _zscore(diff: float, se: float, ref: float) -> float:
     return 0.0 if abs(diff) <= 1e-12 * max(1.0, abs(ref)) else math.inf
 
 
+def _number(path: str, k: int, row: dict, col: str) -> float:
+    """Cell `col` of row `k` (counted from 1) of the table at `path`; it must be a number."""
+    v = row.get(col)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{path} row {k}: {col} = {v!r} is not a number")
+    return v
+
+
 def cmd_compare(args) -> int:
     spec_a, rows_a = read_table(args.analytic)
     spec_s, rows_s = read_table(args.simulation)
-    ok_a = [row for row in rows_a if row.get("status") == "ok"]
+    ok_a = [(k, _number(args.analytic, k, row, "r"), row)
+            for k, row in enumerate(rows_a, 1) if row.get("status") == "ok"]
     rows = []
-    for srow in rows_s:
-        r_s = srow.get("r")
-        match = [row for row in ok_a if abs(row["r"] - r_s) <= 1e-9]
+    for k_s, srow in enumerate(rows_s, 1):
+        r_s = _number(args.simulation, k_s, srow, "r")
+        match = [(k, row) for k, r_a, row in ok_a if abs(r_a - r_s) <= 1e-9]
         if not match:
-            raise UsageError(
+            raise ValueError(
                 f"grid mismatch: no analytic row within 1e-9 of r = {r_s!r} "
                 "(analytic tables must be evaluated on the simulation's "
                 "achieved grid r = N/T)"
             )
-        arow = match[0]
+        k_a, arow = match[0]
         for o in OBSERVABLES:
             metric, (mcol, scol) = o.estimates, o.columns
             if metric is None or arow.get(metric) is None or srow.get(mcol) is None:
                 continue
-            diff = srow[mcol] - arow[metric]
-            z = _zscore(diff, srow[scol], arow[metric])
+            ref = _number(args.analytic, k_a, arow, metric)
+            mean, se = (_number(args.simulation, k_s, srow, c) for c in (mcol, scol))
+            z = _zscore(mean - ref, se, ref)
             rows.append(
-                {"r": r_s, "metric": metric, "analytic": arow[metric],
-                 "mc_mean": srow[mcol], "mc_se": srow[scol], "z": z,
+                {"r": r_s, "metric": metric, "analytic": ref,
+                 "mc_mean": mean, "mc_se": se, "z": z,
                  "within_3se": bool(z <= 3.0)}
             )
     if not rows:
-        raise UsageError("nothing to compare: no shared metrics on matching rows")
+        raise ValueError("nothing to compare: no shared metrics on matching rows")
     n_pass = sum(1 for row in rows if row["within_3se"])
     verdict = "PASS" if n_pass == len(rows) else "FAIL"
     spec = {

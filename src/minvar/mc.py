@@ -38,7 +38,7 @@ import scipy
 
 from .errors import ActiveSetError
 from .qp import CovMatrix, QpResult, min_variance_equality, min_variance_noshort
-from .theory import AssetUniverse, as_universe, true_optimum
+from .theory import AssetUniverse, true_optimum
 
 __all__ = [
     "TrialConfig",
@@ -220,7 +220,7 @@ def _one_blas_thread():
 
 
 def sweep(
-    universe,
+    universe: AssetUniverse,
     r_grid,
     trials: int,
     constraint: str,
@@ -247,7 +247,6 @@ def sweep(
     against 5.4 s with BLAS at its default of two, equality 1.7 s against
     2.5 s. On more cores it has not been measured.
     """
-    uni = as_universe(universe)
     if trials < 1:
         raise ValueError("need at least one trial")
     grid = [float(r) for r in r_grid]
@@ -260,10 +259,10 @@ def sweep(
         if threads > 1:  # one pool serves every grid point
             run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
         for k, r_req in enumerate(grid):
-            t = max(1, round(uni.n / r_req))
+            t = max(1, round(universe.n / r_req))
             cfgs = [
                 TrialConfig(
-                    universe=uni,
+                    universe=universe,
                     t=t,
                     constraint=constraint,
                     seed=seed,
@@ -280,7 +279,7 @@ def sweep(
             for o, column in zip(OBSERVABLES, zip(*values)):
                 stats.update(zip(o.columns, o.reduce(np.array(column))))
             points.append(PointSummary(
-                r_requested=r_req, r=uni.n / t, t=t, n=uni.n, trials=trials, **stats,
+                r_requested=r_req, r=universe.n / t, t=t, n=universe.n, trials=trials, **stats,
                 weights=np.concatenate(pooled) if keep_weights else None,
             ))
     return tuple(points)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,13 +141,6 @@ class AssetUniverse:
     def mean_inv_var(self) -> float:
         """c2 = mean(1/sigma^2)."""
         return float(np.mean(1.0 / self._sig**2))
-
-
-def as_universe(u) -> AssetUniverse:
-    """Coerce an AssetUniverse or a plain sequence of sigmas."""
-    if isinstance(u, AssetUniverse):
-        return u
-    return AssetUniverse(tuple(u))
 
 
 @dataclass(frozen=True)
@@ -283,17 +276,16 @@ class ReplicaSolution:
         return (self.lam, self.q0, self.delta, self.q0_hat, self.delta_hat)
 
 
-def true_optimum(universe) -> OptimalPortfolio:
+def true_optimum(universe: AssetUniverse) -> OptimalPortfolio:
     """Noiseless minimum-variance portfolio under the budget sum(w) = N.
 
     With independent assets the answer is precision weighting,
     w_i = 1 / (sigma_i^2 * c2), and the risk sum(sigma_i^2 w_i^2) = N / c2.
     """
-    uni = as_universe(universe)
-    c2 = uni.mean_inv_var
-    w = 1.0 / (uni._sig**2 * c2)
+    c2 = universe.mean_inv_var
+    w = 1.0 / (universe._sig**2 * c2)
     w.flags.writeable = False
-    return OptimalPortfolio(weights=w, risk=uni.n / c2)
+    return OptimalPortfolio(weights=w, risk=universe.n / c2)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -437,20 +429,21 @@ def _assemble(uni, reg, r, m, u, t: _Tails) -> ReplicaSolution:
     )
 
 
-def unconstrained_solution(universe, r: float) -> ReplicaSolution:
+def unconstrained_solution(universe: AssetUniverse, r: float) -> ReplicaSolution:
     """The unpenalized estimator, 0 < r < 1: `general_l1_solve` at eta = (0, 0).
 
     In exact arithmetic lam = (1 - r)/(r c2), delta = r/(1 - r) and
     q0 = 1/((1 - r) c2); the root is set from lam, but the rest is assembled
-    from saddle-point averages, so delta is a few 1e-9 relative off at
-    1 - r = 2^-52. Each asset's weight law is one Gaussian centered on its
-    noiseless weight; risk inflation is 1/(1 - r) for every universe.
-    PhaseBoundaryError from r = 1 on.
+    from saddle-point averages, which keep delta and q0 c2 (1 - r) within
+    1.1e-15 relative of r/(1 - r) and 1 down to 1 - r = 2^-52 (N from 1 to
+    1000, lognormal spreads up to 0.95). Each asset's weight law is one
+    Gaussian centered on its noiseless weight; risk inflation is 1/(1 - r)
+    for every universe. PhaseBoundaryError from r = 1 on.
     """
     return general_l1_solve(universe, r, RegularizerParams.none())
 
 
-def noshort_lambda(universe, r: float) -> float:
+def noshort_lambda(universe: AssetUniverse, r: float) -> float:
     """Budget multiplier of the banned-shorts estimator, 0 < r <= 2 - CRITICAL_MARGIN.
 
     Solves mean_i W(sqrt(lam)/sigma_i) = 1/(2r), W the second iterated cdf
@@ -464,13 +457,12 @@ def noshort_lambda(universe, r: float) -> float:
     precision resolves to 1e-12. From r = 2 - CRITICAL_MARGIN on it raises
     `general_l1_solve`'s CriticalPhaseError (`_near_critical`).
     """
-    uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("banned-shorts estimator", r)
-    s_up = math.sqrt((2.0 / r - 1.0) / uni.mean_inv_var)
-    s, f = _newton_right(_first_equation(uni, r, RegularizerParams.short_ban(), 1.0), s_up)
+    s_up = math.sqrt((2.0 / r - 1.0) / universe.mean_inv_var)
+    s, f = _newton_right(_first_equation(universe, r, RegularizerParams.short_ban(), 1.0), s_up)
     lam = s * s
     h = f / (2.0 * r)
     if abs(h) > 1e-12 * max(1.0, 0.5 / r):
@@ -512,7 +504,7 @@ def _newton_right(f, x: float) -> tuple[float, float]:
     )
 
 
-def noshort_solution(universe, r: float) -> ReplicaSolution:
+def noshort_solution(universe: AssetUniverse, r: float) -> ReplicaSolution:
     """The banned-shorts estimator, 0 < r < 2: `general_l1_solve` at eta = (0, inf).
 
     Derived quantities follow from the multiplier of `noshort_lambda`: the
@@ -526,7 +518,7 @@ def noshort_solution(universe, r: float) -> ReplicaSolution:
     return general_l1_solve(universe, r, RegularizerParams.short_ban())
 
 
-def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> float:
+def free_energy_functional(op, universe: AssetUniverse, r: float, reg: RegularizerParams) -> float:
     """Variational functional whose stationary points are the solutions.
 
     Parameters
@@ -540,7 +532,6 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
     solution with eta1 = 0 and eta2 in {0, inf} the value equals lam / 2.
     """
     lam, q0, delta, q0_hat, delta_hat = (float(t) for t in op)
-    uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
     if q0_hat >= 0 or delta_hat <= 0 or delta <= -1:
@@ -548,7 +539,7 @@ def free_energy_functional(op, universe, r: float, reg: RegularizerParams) -> fl
             "functional domain requires q0_hat < 0, delta_hat > 0, delta > -1"
         )
     u = math.sqrt(-2.0 * q0_hat)
-    s_w = _tail_terms(lam - reg.eta1, u, uni, reg).s_w
+    s_w = _tail_terms(lam - reg.eta1, u, universe, reg).s_w
     return _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w)
 
 
@@ -563,7 +554,7 @@ def _functional_value(lam, q0, delta, q0_hat, delta_hat, r, s_w) -> float:
     )
 
 
-def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> float:
+def stationarity_residual(op, universe: AssetUniverse, r: float, reg: RegularizerParams) -> float:
     """Max-norm central-difference gradient of the functional at `op`.
 
     Each coordinate steps by the cube root of eps times the scale on which
@@ -576,7 +567,7 @@ def stationarity_residual(op, universe, r: float, reg: RegularizerParams) -> flo
     x = np.asarray(op, dtype=float)
     lam, q0, delta, q0_hat, delta_hat = x
     u = math.sqrt(-2.0 * q0_hat) if q0_hat < 0 else 0.0
-    edge = min(as_universe(universe).sigmas) * u
+    edge = min(universe.sigmas) * u
     scale = (max(abs(lam - reg.eta1), edge), abs(q0), 1.0 + abs(delta), -q0_hat, delta_hat)
     rel = float(np.cbrt(np.finfo(float).eps))
     grad = np.zeros_like(x)
@@ -613,7 +604,9 @@ _UNPINNED = "saddle solve ill-determined: the residual tolerance does not pin th
 _LOG_U_MIN = 0.5 * math.log(np.finfo(float).tiny)
 
 
-def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolution:
+def general_l1_solve(
+    universe: AssetUniverse, r: float, reg: RegularizerParams
+) -> ReplicaSolution:
     """Solve the asymmetric-penalty saddle equations.
 
     The five-parameter system reduces to two unknowns, the shifted
@@ -664,16 +657,15 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     far below 1e-100 sigma; at r = 1 itself u ~ eta^(1/3), and the band
     ~ eta^(2/3) reaches 1e-13 near eta ~ 1e-19 sigma.
     """
-    uni = as_universe(universe)
     if not r > 0:
         raise ValueError("r must be positive")
     if r < 1:
         # Newton near r = 1 stagnates (6e-5 relative off at 1 - r = 1.1e-12
         # at eta = 0) or leaves a root the weak band cannot pin
-        lam = (1.0 - r) / (r * uni.mean_inv_var)
+        lam = (1.0 - r) / (r * universe.mean_inv_var)
         u = math.sqrt(lam)
-        if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(uni._sig)) * u:
-            return _assemble(uni, reg, r, lam, u, _tail_terms(lam, u, uni, reg))
+        if reg.eta1 + reg.eta2 <= 1e-13 * float(np.min(universe._sig)) * u:
+            return _assemble(universe, reg, r, lam, u, _tail_terms(lam, u, universe, reg))
     elif reg.eta1 == 0.0 and reg.eta2 == 0.0:
         raise PhaseBoundaryError(
             f"unconstrained estimator has no solution at r = {r:g}: the sample "
@@ -682,15 +674,15 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
         )
     if r > 2.0 - CRITICAL_MARGIN:
         raise _near_critical("penalized system", r)
-    lam0 = noshort_lambda(uni, r)
+    lam0 = noshort_lambda(universe, r)
     u0 = math.sqrt(lam0)
     if reg.bans_shorts:
-        return _assemble(uni, reg, r, lam0, u0, _tail_terms(lam0, u0, uni, reg))
-    x, norm, why, tails = _newton(np.array([lam0, u0]), uni, r, reg)
+        return _assemble(universe, reg, r, lam0, u0, _tail_terms(lam0, u0, universe, reg))
+    x, norm, why, tails = _newton(np.array([lam0, u0]), universe, r, reg)
     if why is not None:
         # Newton stalls against the m = 0 wall, at a spurious root, or where
         # the equations are nearly degenerate (r ~ 1 under a weak penalty)
-        alt = _newton(np.array(_bracketed_start(uni, r, reg)), uni, r, reg)
+        alt = _newton(np.array(_bracketed_start(universe, r, reg)), universe, r, reg)
         if alt[2] is None or alt[1] <= norm:
             x, norm, why, tails = alt
     if norm >= 1e-10 or (why == _UNPINNED and r < 1):
@@ -698,11 +690,11 @@ def general_l1_solve(universe, r: float, reg: RegularizerParams) -> ReplicaSolut
     m, u = float(x[0]), float(x[1])
     # from r = 1 on only the penalty keeps the solution finite: the root must
     # be pinned and the widest band eta / (sigma u) stand above rounding
-    widest = (reg.eta1 + reg.eta2) / (float(np.min(uni._sig)) * u)
+    widest = (reg.eta1 + reg.eta2) / (float(np.min(universe._sig)) * u)
     resolved = r < 1 or (why != _UNPINNED and widest > 1e-13)
     if math.log(u) >= _LOG_U_MIN and resolved:
         try:
-            return _assemble(uni, reg, r, m, u, tails)
+            return _assemble(universe, reg, r, m, u, tails)
         except CriticalPhaseError:
             pass  # u r S_Psi rounded to 0: m and the penalty are below resolution
     raise _unrepresentable(r, reg)
@@ -822,7 +814,7 @@ def _unrepresentable(r, reg) -> PhaseBoundaryError:
     )
 
 
-def critical_asymptotics(universe) -> CriticalPoint:
+def critical_asymptotics(universe: AssetUniverse) -> CriticalPoint:
     """Behavior of the banned-shorts branch as r approaches r_c = 2.
 
     The multiplier vanishes like lambda_coeff * (2 - r)^2 with
@@ -831,9 +823,8 @@ def critical_asymptotics(universe) -> CriticalPoint:
     inflation to pi * c2 / c1^2 (>= pi by Cauchy-Schwarz, = pi only for a
     uniform universe), and the condensed fraction to 1/2 from below.
     """
-    uni = as_universe(universe)
-    c1 = uni.mean_inv_sigma
-    c2 = uni.mean_inv_var
+    c1 = universe.mean_inv_sigma
+    c2 = universe.mean_inv_var
     return CriticalPoint(
         r_c=2.0,
         q0_limit=math.pi / c1**2,

@@ -8,6 +8,7 @@ test here.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -21,7 +22,6 @@ from minvar.cli import (
     EXIT_SOLVER,
     EXIT_USAGE,
     PHASE_FIELDS,
-    UsageError,
     main,
     parse_r_grid,
     parse_sigma,
@@ -50,7 +50,9 @@ def test_parse_r_grid_range():
             "0.5:inf:0.5", "nan:1:0.5", "0.5:1:nan", "0.5:1:inf"]
 )
 def test_parse_r_grid_rejects(bad):
-    with pytest.raises(UsageError):
+    message = ("ratios must be positive and finite" if bad in ("0.0", "-1.0", "inf")
+               else f"cannot parse r grid {bad!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_r_grid(bad)
 
 
@@ -71,19 +73,29 @@ def test_parse_sigma_file(tmp_path):
     uni, resolved = parse_sigma(f"file:{p}", None)
     assert uni.sigmas == (1.0, 2.0, 4.0)
     assert resolved == [1.0, 2.0, 4.0]
-    with pytest.raises(UsageError):
-        parse_sigma(f"file:{p}", 5)  # conflicting --n
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match="^--n 5 conflicts with sigma file of length 3$"):
+        parse_sigma(f"file:{p}", 5)
+    with pytest.raises(FileNotFoundError):
         parse_sigma(f"file:{tmp_path/'missing.txt'}", None)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["const:-1", "const:x", "plain", "gauss:1", "lognormal:0.0,0.5", "const:inf",
-     "lognormal:0.0,0.5,-1", "lognormal:0.0,nan,1", "lognormal:inf,0.5,1"],
-)
+# each refused sigma spec -> its whole message
+_BAD_SIGMAS = {
+    "const:-1": "sigmas must be positive and finite",
+    "const:x": "bad sigma constant 'x'",
+    "plain": "bad sigma spec 'plain'",
+    "gauss:1": "unknown sigma kind 'gauss'",
+    "lognormal:0.0,0.5": "lognormal sigma needs mu,s,seed (e.g. lognormal:0.0,0.5,7)",
+    "const:inf": "sigmas must be positive and finite",
+    "lognormal:0.0,0.5,-1": "expected non-negative integer",  # numpy's SeedSequence
+    "lognormal:0.0,nan,1": "sigmas must be positive and finite",
+    "lognormal:inf,0.5,1": "sigmas must be positive and finite",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SIGMAS))
 def test_parse_sigma_rejects(bad):
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_BAD_SIGMAS[bad])}$"):
         parse_sigma(bad, None)
 
 
@@ -444,6 +456,26 @@ def test_spec_names_the_solved_constraint(tmp_path):
     assert read_table(str(out2))[0]["constraint"] is None
 
 
+def test_file_sigmas_are_reproducible_from_the_spec_alone(tmp_path):
+    # the spec embeds a sigma file's values, so a file written out of the
+    # spec reproduces every row
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0.7  # first\n1.3\n\n2.0000000000000004\n0.1\n")
+    out = tmp_path / "rep.csv"
+    argv = ["replica", "--r-grid", "0.5,1.5", "--constraint", "noshort"]
+    assert run_cli(*argv, "--sigma", f"file:{sig}", "--out", str(out)) == EXIT_OK
+    spec, rows = read_table(str(out))
+    assert spec["n"] == 4
+    assert spec["sigmas"] == [0.7, 1.3, 2.0000000000000004, 0.1]
+    again = tmp_path / "again.txt"
+    again.write_text("".join(f"{v!r}\n" for v in spec["sigmas"]))
+    out2 = tmp_path / "rep2.csv"
+    assert run_cli(*argv, "--sigma", f"file:{again}", "--out", str(out2)) == EXIT_OK
+    spec2, rows2 = read_table(str(out2))
+    assert spec2["sigmas"] == spec["sigmas"]
+    assert rows2 == rows
+
+
 def test_weights_rejects_mc_off_corners(capsys):
     code = run_cli(
         "weights", "--r-grid", "0.8", "--n", "4", "--trials", "5", "--eta2", "0.7"
@@ -623,6 +655,17 @@ def test_bad_sigmas_are_usage_errors(sigma, message, tmp_path, capsys):
           "--sigma", "const:1e154"], "violate saddle-point invariants"),
         (["replica", "--n", "5", "--r-grid", "0.5", "--sigma", "const:1e154"],
          "violate saddle-point invariants"),
+        # compare does arithmetic on r and on each metric's cells
+        (["compare", "{table}", "{tmp}/text-r.json"],
+         "text-r.json row 1: r = 'a' is not a number"),
+        (["compare", "{table}", "{tmp}/no-r.json"], "no-r.json row 1: r = None is not a number"),
+        (["compare", "{tmp}/text-r.json", "{table}"],
+         "text-r.json row 1: r = 'a' is not a number"),
+        (["compare", "{table}", "{tmp}/text-se.json"],
+         "text-se.json row 1: lambda_hat_se = 'x' is not a number"),
+        (["compare", "{tmp}/replica-n10.csv", "{tmp}/phase-n10.csv"], "nothing to compare"),
+        (["compare", "{table}", "{tmp}/scalar-rows.json"],
+         "scalar-rows.json is not a minvar table"),
     ],
 )
 def test_unusable_inputs_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
@@ -631,6 +674,17 @@ def test_unusable_inputs_exit_2_with_one_error_line(argv, message, tmp_path, cap
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "bad-spec.csv").write_text("# spec={bad\nr,status\n")
     (tmp_path / "no-spec.json").write_text('{"rows": []}\n')
+    (tmp_path / "text-r.json").write_text('{"spec": {}, "rows": [{"r": "a", "status": "ok"}]}')
+    (tmp_path / "no-r.json").write_text('{"spec": {}, "rows": [{"status": "ok"}]}')
+    (tmp_path / "text-se.json").write_text(
+        '{"spec": {}, "rows": [{"r": 0.5, "lambda_hat_mean": 1.0, "lambda_hat_se": "x"}]}')
+    (tmp_path / "scalar-rows.json").write_text('{"spec": {}, "rows": [1]}')
+    # tables written only for the cases that read them
+    for command in ("replica", "phase"):
+        name = f"{command}-n10.csv"
+        if any(name in a for a in argv):
+            out = str(tmp_path / name)
+            assert run_cli(command, "--n", "10", "--r-grid", "0.5,1", "--out", out) == EXIT_OK
     argv = [a.format(table=table, tmp=tmp_path) for a in argv]
     code = run_cli(*argv)
     err = capsys.readouterr().err

@@ -500,7 +500,7 @@ def test_general_solver_matches_unconstrained_corner(r):
         assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
-@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1.1e-12])
+@pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1.1e-12, 2.0**-52])
 def test_general_solver_matches_unconstrained_corner_near_r_1(monkeypatch, gap):
     # a root solve would stagnate this close to r = 1 (Newton from the
     # banned-shorts root ended 6e-5 relative off at gap 1.1e-12); the corner
@@ -511,6 +511,10 @@ def test_general_solver_matches_unconstrained_corner_near_r_1(monkeypatch, gap):
     sol = general_l1_solve(uni, r, RegularizerParams(0.0, 0.0))
     assert calls == []
     assert sol.lam == (1.0 - r) / (r * uni.mean_inv_var)
+    # delta and q0 come from saddle-point averages, yet hold their closed forms
+    ulps = 5 * np.finfo(float).eps
+    assert sol.delta == pytest.approx(r / (1.0 - r), rel=ulps)
+    assert sol.q0 == pytest.approx(1.0 / ((1.0 - r) * uni.mean_inv_var), rel=ulps)
 
 
 @pytest.mark.parametrize("r", np.linspace(0.1, 1.9, 5))

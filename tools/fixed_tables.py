@@ -24,19 +24,25 @@ It writes, through `minvar.cli.main`:
     trials each), so the `mc_mass` column is diffed too;
   * a `phase` table at N = 50 (r = 1.5, 1.9, 2.5, 20 trials each), written
     after the `simulate` tables by the same parser, so its subparser
-    defaults (the no-short constraint, the phase columns) are diffed too.
+    defaults (the no-short constraint, the phase columns) are diffed too;
+  * a no-short `simulate` at N = 50 on r = 0.5, 1, 1.25 (T = 100, 50, 40,
+    so the achieved grid is the requested one, 20 trials each), `replica`
+    on the same grid, and the `compare` of the two.
 
-and prints one `sha256  name` line per table. A sweep runs the OpenBLAS
-that the Linux numpy and scipy wheels bundle at one thread itself, so there
-the tables do not depend on the BLAS thread count. BLAS is still pinned to
-one thread through the environment, before numpy is loaded, for the builds
-a sweep cannot find (other wheels' libraries, MKL, a system BLAS), whose
-no-short Monte Carlo tables hold per BLAS configuration only.
+and prints one `sha256  name` line per table. What minvar itself prints
+(the `compare` verdict) goes to stderr, so stdout holds only those lines.
+A sweep runs the OpenBLAS that the Linux numpy and scipy wheels bundle at
+one thread itself, so there the tables do not depend on the BLAS thread
+count. BLAS is still pinned to one thread through the environment, before
+numpy is loaded, for the builds a sweep cannot find (other wheels'
+libraries, MKL, a system BLAS), whose no-short Monte Carlo tables hold per
+BLAS configuration only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -70,6 +76,12 @@ TABLES = {
                                   "--seed", "3"),
     "phase-n50.csv": ("phase", "--n", "50", "--r-grid", "1.5,1.9,2.5", "--trials", "20",
                       "--seed", "3"),
+    "compare-simulate-n50.csv": ("simulate", "--n", "50", "--r-grid", "0.5,1,1.25",
+                                 "--trials", "20", "--seed", "3"),
+    "compare-replica-n50.csv": ("replica", "--n", "50", "--r-grid", "0.5,1,1.25"),
+    # {out} is the output directory: compare reads the two tables above
+    "compare-n50.csv": ("compare", "{out}/compare-replica-n50.csv",
+                        "{out}/compare-simulate-n50.csv"),
 }
 
 
@@ -85,7 +97,8 @@ def main(argv=None) -> int:
     status = 0
     for name, argv_t in TABLES.items():
         path = os.path.join(args.out_dir, name)
-        code = minvar_main([*argv_t, "--out", path])
+        with contextlib.redirect_stdout(sys.stderr):
+            code = minvar_main([*(a.format(out=args.out_dir) for a in argv_t), "--out", path])
         if code != 0:
             print(f"exit {code}  {name}")
             status = 1
