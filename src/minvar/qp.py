@@ -237,11 +237,7 @@ def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return f, piv - 1, rank
 
 
-def _as_cov(c) -> CovMatrix:
-    return c if isinstance(c, CovMatrix) else CovMatrix(c)
-
-
-def min_variance_equality(c, budget: float = None) -> QpResult:
+def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
     """Minimize w' C w on the plane sum(w) = budget (default budget = N).
 
     Full-rank C gives the classic precision-weighted solution, C^-1 1 from
@@ -256,12 +252,11 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     `degenerate` marks an objective at most `CovMatrix.tol_zero`. Raises
     ValueError on a budget that is not finite.
     """
-    cov = _as_cov(c)
-    n = cov.n
+    n = c.n
     b = float(n if budget is None else budget)
     if not math.isfinite(b):
         raise ValueError("budget must be finite")
-    l, piv, rank = _factor(cov.matrix)
+    l, piv, rank = _factor(c.matrix)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
     flat = False
     if rank < n:
@@ -291,12 +286,12 @@ def min_variance_equality(c, budget: float = None) -> QpResult:
     x, s = (z, float(np.sum(z))) if flat else (x, float(y @ y))
     w = np.empty(n)
     w[piv] = (b / s) * x
-    obj = max(float(w @ cov.matrix @ w), 0.0)
+    obj = max(float(w @ c.matrix @ w), 0.0)
     return QpResult(
         weights=w,
         objective=obj,
         active_set=(),
-        degenerate=flat or obj <= cov.tol_zero,
+        degenerate=flat or obj <= c.tol_zero,
         constraint="equality",
         lam=0.0 if flat else 2.0 * b / s,
     )
@@ -353,10 +348,8 @@ class _Corral:
         self.zero_q = np.zeros((0, 0), order="F")
         self.r = np.empty((n, n + 1), order="F")
         self.idx = np.empty(n, dtype=np.intp)
-        self.mask = np.zeros(n, dtype=bool)
         self.y = np.empty(n)
         self.idx[0] = i0
-        self.mask[i0] = True
         self.r[0, 0] = math.sqrt(cm[i0, i0] + rho)
         self.y[0] = 1.0 / self.r[0, 0]
         self.k = 1
@@ -402,7 +395,6 @@ class _Corral:
             self.r[:k, k : k + p] = l[:, :p]
             self.r[k : k + p, k : k + p] = d
             self.y[k : k + p] = dtrtrs(d, 1.0 - self.y[:k] @ l[:, :p], trans=1)[0]
-            self.mask[batch[:p]] = True
             self.k = k + p
         return p, l
 
@@ -427,7 +419,6 @@ class _Corral:
     def drop(self, q: int) -> None:
         """Remove the member at factor position q, in O(k (k - q))."""
         k, r = self.k, self.r
-        self.mask[self.idx[q]] = False
         self.idx[q : k - 1] = self.idx[q + 1 : k]
         # deleting column q leaves a Hessenberg block in rows q..k-1; Givens
         # rotations (qr_delete, in place) make it triangular again and shift
@@ -471,7 +462,7 @@ def _first_blocking(pos: np.ndarray, ratios: np.ndarray, members: np.ndarray):
     return int(ties[members[ties].argmin()]), t
 
 
-def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpResult:
+def min_variance_noshort(c: CovMatrix, budget: float = None, max_iter: int = None) -> QpResult:
     """Minimize w' C w with sum(w) = budget and w >= 0, by a vertex-start active set.
 
     Wolfe's min-norm-point method in weight form. The corral starts as the
@@ -495,15 +486,15 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     batch is cut to the steps left, and a drop or a swap (a drop plus an
     add) that does not fit fails.
     """
-    cov = _as_cov(c)
-    n = cov.n
+    n = c.n
     b = float(n if budget is None else budget)
     if not 0.0 <= b < math.inf:
         raise ValueError("budget must be finite and nonnegative")
     cap = 50 * n if max_iter is None else max_iter
-    cm = cov.matrix
+    cm = c.matrix
     rho = max(float(np.trace(cm)) / n, 1e-300)
-    tol_mu = 1e-10 * 2.0 * rho * max(abs(b), 1.0)
+    # multipliers 2 (C w)_j - lam scale as rho times the mean weight b / N
+    tol_mu = 1e-10 * 2.0 * rho * max(abs(b), 1.0) / n
     tol_w = 1e-12 * max(abs(b), 1.0)
 
     i0 = int(np.argmin(np.diagonal(cm)))
@@ -536,7 +527,7 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
         lam = 2.0 * float(w @ g) / b if b > 0 else 0.0
         mu = 2.0 * g
         mu -= lam
-        mu[corral.mask] = np.inf
+        mu[corral.members] = np.inf
         batch = _improving(mu, tol_mu, size)
         if batch.size == 0:
             break
@@ -582,25 +573,24 @@ def min_variance_noshort(c, budget: float = None, max_iter: int = None) -> QpRes
     return QpResult(
         weights=w,
         objective=obj,
-        active_set=tuple(int(i) for i in np.flatnonzero(~corral.mask)),
-        degenerate=obj <= cov.tol_zero,
+        active_set=tuple(np.delete(np.arange(n), corral.members).tolist()),
+        degenerate=obj <= c.tol_zero,
         constraint="noshort",
         lam=lam,
     )
 
 
-def kkt_residual(c, result: QpResult, budget: float) -> float:
+def kkt_residual(c: CovMatrix, result: QpResult, budget: float) -> float:
     """Max-norm violation of the first-order conditions at `result`.
 
     Components: budget gap, stationarity of the free gradient around the
     fitted multiplier, and for the nonnegative problem also weight
     negativity, multiplier negativity, and complementary slackness.
     """
-    cov = _as_cov(c)
-    w = np.asarray(result.weights, dtype=float)
-    g = 2.0 * (cov.matrix @ w)
+    w = result.weights
+    g = 2.0 * (c.matrix @ w)
     res = abs(float(np.sum(w)) - float(budget))
-    active = np.zeros(cov.n, dtype=bool)
+    active = np.zeros(c.n, dtype=bool)
     if result.constraint == "noshort":
         active[list(result.active_set)] = True
     free = ~active
@@ -618,7 +608,7 @@ def kkt_residual(c, result: QpResult, budget: float) -> float:
     return res
 
 
-def brute_force_noshort(c, budget: float = None) -> QpResult:
+def brute_force_noshort(c: CovMatrix, budget: float = None) -> QpResult:
     """Exact reference for the nonnegative problem by support enumeration.
 
     Every nonempty support set gets the equality solver's minimizer on
@@ -627,14 +617,13 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
     whose support yields a unique, hence feasible, restricted solution, so
     the scan is exhaustive. Guarded to N <= 12.
     """
-    cov = _as_cov(c)
-    n = cov.n
+    n = c.n
     if n > 12:
         raise ValueError("brute force is limited to N <= 12")
     b = float(n if budget is None else budget)
     if not 0.0 <= b < math.inf:
         raise ValueError("budget must be finite and nonnegative")
-    cm = cov.matrix
+    cm = c.matrix
     tol_feas = 1e-12 * max(abs(b), 1.0)
     best = None
     for mask in range(1, 1 << n):
@@ -655,7 +644,7 @@ def brute_force_noshort(c, budget: float = None) -> QpResult:
         weights=w,
         objective=obj,
         active_set=tuple(int(i) for i in np.flatnonzero(zero)),
-        degenerate=obj <= cov.tol_zero,
+        degenerate=obj <= c.tol_zero,
         constraint="noshort",
         lam=lam,
     )
