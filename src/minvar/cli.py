@@ -18,10 +18,10 @@ outputs are byte-identical across thread counts.
 Exit codes: 0 success, 2 malformed request (including a negative or NaN
 penalty, a count below its minimum, an unreadable or unwritable file, an
 unparseable table or one that lacks a number `compare` computes with, and an
-out-of-range sigma, one whose mean(1/sigma) or mean(1/sigma^2) is not
-positive and finite), 3 solver failure. Ratios a branch refuses (phase
-boundaries) are not errors: the row is emitted with status
-"critical-boundary" and empty numerics.
+out-of-range sigma, one whose mean(1/sigma^2) is infinite or below 2**-1023,
+as is a common sigma outside sqrt(N) * 7.5e-155 to 9.4e153), 3 solver failure.
+Ratios a branch refuses (phase boundaries) are not errors: the row is emitted
+with status "critical-boundary" and empty numerics.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ def cmd_weights(args) -> int:
         masses = mix.bin_mass(edges)
         mc_atom, mc_masses = None, [None] * len(masses)
         if pooled is not None:
-            hist = weight_histogram(pooled, edges=edges)
+            hist = weight_histogram(pooled, edges)
             mc_atom, mc_masses = hist.atom, [float(m) for m in hist.masses]
         rows.append({**atom, "analytic_mass": sol.n0, "mc_mass": mc_atom, "status": "ok"})
         rows += [

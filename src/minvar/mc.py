@@ -236,8 +236,11 @@ def sweep(
     so no stream is reused. With threads > 1 the trials are executed by one
     thread pool for the whole grid (the linear algebra releases the
     interpreter lock) and collected in trial order, point by point; results
-    are identical for any thread count. Each result is reduced to its
-    observables (and, with `keep_weights`, its weights) as it arrives.
+    are identical for any thread count. On 2 vCPUs at one BLAS thread,
+    `threads=2` took 23-53% less time than 1 on equality at N = 400 and
+    57-81% more on no-short at N = 100; no-short at N = 400 was about level.
+    Each result is reduced to its observables (and, with `keep_weights`, its
+    weights) as it arrives.
 
     While it runs, the OpenBLAS builds numpy and scipy ship are limited to
     one thread each, a process-wide setting restored when the sweep ends, so
@@ -290,10 +293,10 @@ class Histogram:
     """Pooled weight histogram: zero atom separated from the continuous bins.
 
     `masses` are probabilities per bin over all pooled weights (atom
-    included in the normalization), so atom + sum(masses) = 1.
+    included in the normalization), so atom + sum(masses) = 1 on edges
+    that cover every nonzero weight.
     """
 
-    edges: np.ndarray
     masses: np.ndarray
     atom: float
     count: int
@@ -312,28 +315,15 @@ def bin_grid(lo: float, hi: float, bin_width: float) -> np.ndarray:
     return np.arange(lo_k, hi_k + 1) * bin_width
 
 
-def weight_histogram(
-    weights: np.ndarray, bin_width: float = 0.05, edges: np.ndarray | None = None,
-) -> Histogram:
-    """Histogram pooled weights with the exact-zero atom kept out of the bins.
+def weight_histogram(weights: np.ndarray, edges: np.ndarray) -> Histogram:
+    """Histogram pooled weights on `edges` with the exact-zero atom kept out of the bins.
 
-    Bins are multiples of `bin_width` covering the nonzero weights (one bin
-    [0, bin_width) when there are none), unless `edges` gives them; weights
-    outside given edges count in no bin. The atom holds the weights of size
-    at most WEIGHT_ZERO_RTOL, as `zero_fraction` counts them.
+    Weights outside the edges count in no bin. The atom holds the weights of
+    size at most WEIGHT_ZERO_RTOL, as `zero_fraction` counts them.
     """
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("no weights to histogram")
-    if not (bin_width > 0 and math.isfinite(bin_width)):
-        raise ValueError("bin width must be positive and finite")
     at_zero = np.abs(w) <= WEIGHT_ZERO_RTOL
-    atom = float(np.mean(at_zero))
-    wc = w[~at_zero]
-    if edges is None:
-        lo, hi = (float(wc.min()), float(wc.max())) if wc.size else (0.0, 0.0)
-        edges = bin_grid(lo, hi, bin_width)
-    counts, _ = np.histogram(wc, bins=edges)
-    return Histogram(
-        edges=edges, masses=counts / w.size, atom=atom, count=w.size
-    )
+    counts, _ = np.histogram(w[~at_zero], bins=edges)
+    return Histogram(masses=counts / w.size, atom=float(np.mean(at_zero)), count=w.size)

@@ -358,9 +358,9 @@ class _Corral:
     def members(self) -> np.ndarray:
         return self.idx[: self.k]
 
-    def solve(self, x: np.ndarray, trans: int = 0) -> np.ndarray:
-        """R^-1 x, or R'^-1 x with trans=1."""
-        return dtrtrs(self.r[:, : self.k], x, trans=trans)[0]
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """R^-1 x."""
+        return dtrtrs(self.r[:, : self.k], x)[0]
 
     def extend(self, batch: np.ndarray) -> tuple[int, np.ndarray]:
         """Append the longest prefix of `batch` that the factor takes, as one block.

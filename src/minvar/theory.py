@@ -91,8 +91,10 @@ class AssetUniverse:
     Parameters
     ----------
     sigmas : tuple of float
-        Positive, finite standard deviations, one per asset, whose c1 and
-        c2 (module docstring) are positive and finite too.
+        Positive, finite standard deviations, one per asset, whose c2 (module
+        docstring) is finite and at least 2**-1023, so c1 is positive and
+        finite too: for one common sigma at N assets, about sqrt(N) * 7.5e-155
+        to 9.4e153. Near its top, order parameters (~1/c2) overflow at small r.
     """
 
     sigmas: tuple[float, ...]
@@ -105,10 +107,11 @@ class AssetUniverse:
             raise ValueError("sigmas must be positive and finite")
         object.__setattr__(self, "sigmas", sig)
         with np.errstate(over="ignore", divide="ignore"):
-            c1, c2 = self.mean_inv_sigma, self.mean_inv_var
-        if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+            c2 = self.mean_inv_var
+        if not 2.0**-1023 <= c2 < math.inf:
             raise ValueError(
-                "sigmas out of range: mean(1/sigma) and mean(1/sigma^2) must be positive and finite"
+                "sigmas out of range: mean(1/sigma^2) must be finite and at least 2**-1023 "
+                "(common sigma: sqrt(N) * 7.5e-155 to 9.4e153)"
             )
 
     @classmethod
@@ -758,17 +761,22 @@ def _bracketed_start(uni, r, reg) -> tuple[float, float]:
     finds. Along that curve the second equation is negative as u -> 0 and
     positive where m(u) reaches 0 or, for r < 1 and under a ban, as u grows;
     its root is bracketed in log u and bisected, so a weak penalty that puts
-    u many decades below 1 costs no more than a strong one.
+    u many decades below 1 costs no more than a strong one. Newton for m(u)
+    starts from the root at the nearest larger u so far (else from u), times 8
+    until the first equation is nonnegative.
     """
+    roots = {}  # m(u) by u
+
     def m_root(u):
         """The root m(u) > 0 of the first equation, None past the curve's end."""
         first = _first_equation(uni, r, reg, u)
         if first(0.0)[0] >= 0.0:
             return None
-        hi = math.log(u)
-        while first(math.exp(hi))[0] < 0.0:
-            hi += 2.0
-        return _newton_right(first, math.exp(hi))[0]
+        m = roots.get(min((v for v in roots if v >= u), default=None), u)
+        while first(m)[0] < 0.0:
+            m *= 8.0
+        roots[u] = m = _newton_right(first, m)[0]
+        return m
 
     def second(log_u):
         u = math.exp(log_u)

@@ -36,6 +36,7 @@ from minvar import (
 )
 from minvar import theory
 from minvar.cli import main, read_table
+from minvar.mc import bin_grid
 from minvar.special import norm_cdf, norm_cdf_int, norm_pdf
 
 
@@ -437,13 +438,14 @@ def test_criterion_10_weight_distribution(criterion_recorder):
     p = s[0]
     sol = noshort_solution(uni, p.r)
     mix = build_mixture(sol)
-    h = weight_histogram(p.weights, bin_width=0.05)
+    edges = bin_grid(0.0, float(p.weights.max()), 0.05)
+    h = weight_histogram(p.weights, edges)
     z_atom = (h.atom - sol.n0) / p.zero_fraction_se
     _check(
         fails, abs(z_atom) <= 3.0,
         f"atom mass {h.atom:.4f} vs n0 {sol.n0:.4f}, z={z_atom:+.2f}",
     )
-    analytic = mix.bin_mass(h.edges)
+    analytic = mix.bin_mass(edges)
     # Both integrate to ~1 - n0 already; charge the analytic mass outside
     # the sampled range so missing tails count against the distance.
     tail = (1.0 - sol.n0) - analytic.sum()

@@ -200,14 +200,15 @@ def test_keep_weights_and_histogram():
     assert p.weights is not None
     assert p.weights.shape == (10 * UNI.n,)
     assert np.all(p.weights >= 0)
-    h = weight_histogram(p.weights, bin_width=0.25)
+    edges = bin_grid(0.0, float(p.weights.max()), 0.25)
+    h = weight_histogram(p.weights, edges)
     assert h.count == p.weights.size
     assert h.atom == pytest.approx(p.zero_fraction_mean, abs=1e-12)
     assert h.atom + h.masses.sum() == pytest.approx(1.0, abs=1e-12)
     # Bin masses agree with a direct count on the nonzero weights.
     wc = p.weights[p.weights > 1e-8]
-    k = np.searchsorted(h.edges, 0.6, side="right") - 1
-    lo, hi = h.edges[k], h.edges[k + 1]
+    k = np.searchsorted(edges, 0.6, side="right") - 1
+    lo, hi = edges[k], edges[k + 1]
     direct = np.sum((wc >= lo) & (wc < hi)) / p.weights.size
     assert h.masses[k] == pytest.approx(direct, abs=1e-12)
     (no_weights,) = sweep(UNI, [1.5], trials=2, constraint="noshort", seed=6)
@@ -215,14 +216,12 @@ def test_keep_weights_and_histogram():
 
 
 def test_weight_histogram_validation():
-    with pytest.raises(ValueError):
-        weight_histogram(np.array([]))
-    for bad in (0.0, -0.1, math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            weight_histogram(np.array([1.0]), bin_width=bad)
-    h = weight_histogram(np.zeros(5), bin_width=0.25)
+    with pytest.raises(ValueError, match="no weights"):
+        weight_histogram(np.array([]), np.array([0.0, 1.0]))
+    edges = bin_grid(0.0, 0.0, 0.25)
+    h = weight_histogram(np.zeros(5), edges)
     assert h.atom == 1.0
-    assert np.array_equal(h.edges, [0.0, 0.25]) and np.array_equal(h.masses, [0.0])
+    assert np.array_equal(edges, [0.0, 0.25]) and np.array_equal(h.masses, [0.0])
 
 
 def test_bin_grid_refuses_inexact_edges():
@@ -230,21 +229,19 @@ def test_bin_grid_refuses_inexact_edges():
     for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
         with pytest.raises(ValueError, match="bin width too small"):
             bin_grid(lo, hi, 2.0**-53)
-    with pytest.raises(ValueError, match="bin width too small"):
-        weight_histogram(np.array([0.0, 1.0]), bin_width=1e-300)
     assert np.array_equal(bin_grid(-0.5, 1.0, 0.5), [-0.5, 0.0, 0.5, 1.0])
 
 
 def test_weight_histogram_on_given_edges():
     w = np.array([0.0, 1e-12, -0.3, 0.05, 0.12, 0.12, 0.49, 2.0])
-    own = weight_histogram(w, bin_width=0.1)
-    same = weight_histogram(w, edges=own.edges)
-    assert np.array_equal(same.edges, own.edges) and np.array_equal(same.masses, own.masses)
-    h = weight_histogram(w, edges=np.array([0.0, 0.25, 0.5]))
+    # edges covering every nonzero weight leave no mass outside atom and bins
+    full = weight_histogram(w, bin_grid(-0.3, 2.0, 0.1))
+    assert full.atom + full.masses.sum() == pytest.approx(1.0, abs=1e-12)
+    h = weight_histogram(w, np.array([0.0, 0.25, 0.5]))
     assert h.atom == 2 / 8 and h.count == 8
     # weights outside the given edges count in no bin
     assert np.array_equal(h.masses, np.array([3, 1]) / 8)
-    empty = weight_histogram(np.zeros(3), edges=np.array([-1.0, 0.0, 1.0]))
+    empty = weight_histogram(np.zeros(3), np.array([-1.0, 0.0, 1.0]))
     assert empty.atom == 1.0 and np.array_equal(empty.masses, np.zeros(2))
 
 

@@ -9,6 +9,7 @@ point of the variational functional via finite differences.
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_universe_validation():
         AssetUniverse(sigmas=())
     with pytest.raises(ValueError):
         AssetUniverse(sigmas=(1.0, float("nan")))
+
+
+def test_universe_precision_mean_bound():
+    # 1/sigma^2 is 2**-1022 at sigma = 2**511 and underflows to 0 at 1e300
+    assert AssetUniverse((2.0**511, 1e300)).mean_inv_var == 2.0**-1023
+    for sigmas in ((2.0**511, 1e300, 1e300), (1e154,)):
+        with pytest.raises(ValueError, match=r"at least 2\*\*-1023"):
+            AssetUniverse(sigmas)
+    # c2 = 2.2e-308 is subnormal but within the bound: the saddle solve succeeds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = noshort_solution(AssetUniverse.constant(6.8e153, 5), 0.5)
+    unit = noshort_solution(AssetUniverse.constant(1.0, 5), 0.5)
+    assert sol.lam / 6.8e153**2 == pytest.approx(unit.lam, rel=1e-12)
 
 
 def test_universe_constructors():
@@ -481,9 +496,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     wrapped = getattr(theory, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return wrapped(*args)
+        return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(theory, name, counted)
     return calls
@@ -595,8 +610,13 @@ def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
     # at r = 1 under a penalty of 1e-12 sigma the equations barely see m, so
     # Newton from the banned-shorts root leaves the root unpinned
     calls = _count_calls(monkeypatch, "_bracketed_start")
+    tails = _count_calls(monkeypatch, "_tail_terms")
     sol = general_l1_solve(AssetUniverse((2.0,)), 1.0, RegularizerParams(0.0, 1e-12))
     assert len(calls) == 1
+    # ~42 halvings of log u, each solving for m(u): started from the root at
+    # the nearest larger u rather than cold, they take ~320 evaluations, not
+    # ~1050
+    assert len(tails) <= 350
     assert max(abs(e) for e in _saddle_equations(sol)) < 1e-10
     assert math.sqrt(-2.0 * sol.q0_hat) == pytest.approx(7.36e-5, rel=1e-2)
 
