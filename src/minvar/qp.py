@@ -8,8 +8,9 @@ factor certifies rank for both solvers. The equality problem is two
 triangular solves on a full-rank factor. When C is singular and the budget
 plane meets its null space, the minimum is exactly zero, the solution is
 non-unique, and the reported weights are the minimum-norm representative,
-found from a thin QR of the factor and normalized by its own budget, with
-the degeneracy flagged rather than regularized away.
+projected onto the null space that the factor's own blocks span and
+normalized by its own budget, with the degeneracy flagged rather than
+regularized away.
 
 The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr_delete
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dpstrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtrtrs
 
 from .errors import ActiveSetError, CovarianceError
 
@@ -71,12 +72,17 @@ RANK_RTOL = 1e-10
 # an objective at most ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
 # z, the part of 1 outside the range of a singular C, counts as zero when
-# |z|^2 <= FLAT_RTOL * N. The threshold weighs two errors. Rounding leaves
-# |z|^2 below about 1e-31 N when 1 lies in the range (measured at
-# N = 10..400), and the flat point b z / 1'z is stationary to rounding for
-# any z above that noise. The pseudo-inverse point, used at and below the
-# threshold, misses stationarity by lam * max|z_i - mean(z)|, which is at
-# most 1e-12 sqrt(N) lam there. So the threshold sits just clear of the noise.
+# |z|^2 <= FLAT_RTOL * N. The threshold weighs two errors. When 1 lies in
+# the range, rounding leaves |z|^2 / N growing with the condition number
+# kappa of C on its range. On 3000 panels of k < N distinct rows, each
+# repeated at random to N = 10..400 rows, over T in [k, 2k] dates, the
+# largest |z|^2 / N was 9e-29 at kappa < 1e3 (74% of them), 5e-25 at
+# kappa < 1e5 (97%) and 6e-22 overall; it passed the threshold from kappa
+# ~ 7e5 on, where such a panel reads as flat. The flat point b z / 1'z is
+# stationary to rounding for any z above that noise. The pseudo-inverse
+# point, used at and below the threshold, misses stationarity by
+# lam * max|z_i - mean(z)|, which is at most 1e-12 sqrt(N) lam there. So
+# the threshold sits just clear of the noise of a well-conditioned range.
 FLAT_RTOL = 1e-24
 # the Cython core under scipy's batching wrapper of qr_delete (see _Corral)
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
@@ -226,8 +232,7 @@ def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(F, piv, rank): C[piv][:, piv] = L L' with L the lower trapezoid of F[:, :rank].
 
     F is dpstrf's Fortran-ordered N x N output. Above the diagonal it keeps
-    entries of C, which the triangular solves never read; the thin QR of a
-    singular factor zeroes them first.
+    entries of C, which the triangular solves never read.
     """
     top = float(np.max(np.diagonal(m)))
     if top < 0.0:
@@ -244,13 +249,13 @@ def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
     two triangular solves on the pivoted Cholesky factor. If C is singular
     and the budget plane meets its null space, the minimum is exactly zero
     along an affine set. Its minimum-norm point is b z / 1'z, where z is the
-    part of 1 orthogonal to the factor's column space (1'z = |z|^2 in exact
-    arithmetic; dividing by the computed 1'z makes the budget exact). It is
-    returned with `degenerate` set. When 1 lies in that column space, z is
-    zero up to rounding and the solution is b C^+ 1 / 1'C^+ 1; a z with
-    |z|^2 <= FLAT_RTOL * N counts as zero. On this and the full-rank path,
-    `degenerate` marks an objective at most `CovMatrix.tol_zero`. Raises
-    ValueError on a budget that is not finite.
+    projection of 1 onto the null space of C, read off the same factor
+    (1'z = |z|^2 in exact arithmetic; dividing by the computed 1'z makes
+    the budget exact). It is returned with `degenerate` set. When 1 lies in
+    the range of C, z is zero up to rounding and the solution is
+    b C^+ 1 / 1'C^+ 1; a z with |z|^2 <= FLAT_RTOL * N counts as zero. On
+    this and the full-rank path, `degenerate` marks an objective at most
+    `CovMatrix.tol_zero`. Raises ValueError on a budget that is not finite.
     """
     n = c.n
     b = float(n if budget is None else budget)
@@ -258,30 +263,34 @@ def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
         raise ValueError("budget must be finite")
     l, piv, rank = _factor(c.matrix)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
+    l1 = l[:, :rank]  # L1, read by dtrtrs as the rank x rank triangle on top
     flat = False
     if rank < n:
-        # L = Q S, with Q kept as the reflectors of dgeqrf and applied by
-        # dormqr; in pivoted order the null space of C is orthogonal to Q.
-        # The second projection removes the rounding 1 - Q Q'1 leaves in the
-        # range of Q, which C would amplify by 1/1'z when z is small.
-        # dgeqrf overwrites the zeroed, Fortran-ordered columns of F in place.
-        l = l[:, :rank]
-        np.copyto(l[:rank], 0.0, where=np.tri(rank, k=-1, dtype=bool).T)
-        lwork = int(dgeqrf_lwork(n, max(rank, 1))[0])
-        qr, tau, _, _ = dgeqrf(l, lwork=lwork, overwrite_a=1)
-        a = _reflect(qr, tau, ones, "T")[:rank]
-        z = ones - _reflect(qr, tau, a, "N")
-        z -= _reflect(qr, tau, _reflect(qr, tau, z, "T")[:rank], "N")
+        # In pivoted order L = [L1; L2], and the null space of C, where
+        # L' v = 0, is spanned by the columns of B = [-K'; I] with
+        # K' = L1^-T L2'. v -> B G^-1 B' v, with G = B'B = I + K K', projects
+        # onto it; G is positive definite, so its Cholesky factor solves it.
+        # At rank 0 (C = 0) K' is empty, and dtrtrs refuses an empty L1.
+        l2t = l[rank:, :rank].T
+        kt = dtrtrs(l1, l2t, lower=1, trans=1)[0] if rank else l2t
+        g = kt.T @ kt
+        g.flat[:: n - rank + 1] += 1.0
+        g = dpotrf(g, lower=1)[0]
+
+        def null_part(v):
+            u = dpotrs(g, v[rank:] - kt.T @ v[:rank], lower=1)[0]
+            return np.concatenate((-(kt @ u), u))
+
+        z = null_part(ones)
         flat = float(z @ z) > FLAT_RTOL * n
-        if not flat:
-            # C^+ 1 = Q S^-T S^-1 Q' 1, solved with the lower triangle S' (a
-            # copy): the upper solve in place on qr would round differently
-            s_low = qr[:rank].T
-            y = dtrtrs(s_low, a, lower=1, trans=1)[0]
-            x = _reflect(qr, tau, dtrtrs(s_low, y, lower=1)[0], "N")
-    else:
-        y = dtrtrs(l, ones, lower=1)[0]
-        x = dtrtrs(l, y, lower=1, trans=1)[0]
+    if not flat:
+        # x0 = [L1^-T y; 0] with y = L1^-1 1 solves C x0 = 1 when 1 is in the
+        # range of C, and C^+ 1 is x0 less its part in the null space
+        y = dtrtrs(l1, ones[:rank], lower=1)[0]
+        x = np.zeros(n)
+        x[:rank] = dtrtrs(l1, y, lower=1, trans=1)[0]
+        if rank < n:
+            x -= null_part(x)
     # w = b x / s: the flat point b z / 1'z, or b C^+ 1 / 1'C^+ 1 with 1'C^+ 1 = y'y
     x, s = (z, float(np.sum(z))) if flat else (x, float(y @ y))
     w = np.empty(n)
@@ -295,19 +304,6 @@ def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
         constraint="equality",
         lam=0.0 if flat else 2.0 * b / s,
     )
-
-
-def _reflect(qr: np.ndarray, tau: np.ndarray, v: np.ndarray, trans: str) -> np.ndarray:
-    """Q v ("N") or Q' v ("T") for the N x N orthogonal Q of a dgeqrf factor.
-
-    For "N", a v shorter than N is padded with zeros, so Q v is the thin
-    factor's product; for "T" the first rank entries are the thin Q' v.
-    """
-    c = np.zeros((qr.shape[0], 1), order="F")
-    c[: v.shape[0], 0] = v
-    if tau.size == 0:  # rank 0: Q = I, and dormqr refuses an empty factor
-        return c[:, 0]
-    return dormqr("L", trans, qr, tau, c, 1, overwrite_c=1)[0][:, 0]
 
 
 class _Corral:

@@ -476,6 +476,27 @@ def test_equality_all_ones_corner_matches_oracle(budget):
     _check_equality_against_oracle(c, budget)
 
 
+def test_equality_pseudo_inverse_branch_at_n200():
+    # A common first-date return puts 1 in the range of C (X e0 = 0.3 * 1),
+    # so at T = 80 < N = 200 the budget plane misses the null space and the
+    # pseudo-inverse branch runs. The optimum holds every other date at zero
+    # return: risk (0.3 b)^2 / T = 45 and lam = 2 risk / b = 0.45 at b = N.
+    n, t = 200, 80
+    x = np.random.default_rng(0).standard_normal((n, t))
+    flat = CovMatrix.from_returns(x)
+    x[:, 0] = 0.3
+    c = CovMatrix.from_returns(x)
+    assert c.rank == t
+    res = _check_equality_against_oracle(c, float(n))
+    assert not res.degenerate
+    assert res.lam == pytest.approx(0.45, rel=1e-12)
+    assert res.objective == pytest.approx(45.0, rel=1e-12)
+    # without the common date 1 leaves the range and the optimum is flat
+    assert flat.rank == t
+    res = _check_equality_against_oracle(flat, float(n))
+    assert res.degenerate and res.lam == 0.0
+
+
 @pytest.mark.parametrize("r", [0.5, 0.9, 1.5, 2.5])
 def test_equality_n400_kkt_flat_directions_and_oracle(r):
     n = 400

@@ -621,6 +621,19 @@ def test_general_solver_falls_back_to_the_bracketed_start(monkeypatch):
     assert math.sqrt(-2.0 * sol.q0_hat) == pytest.approx(7.36e-5, rel=1e-2)
 
 
+def test_bracketed_start_widens_its_upper_bracket():
+    # the bracket opens at u = 1/sqrt(c2) = 1 on both sides; here the root
+    # lies above it, so only the hi widening can reach it
+    uni, r, reg = AssetUniverse.constant(1.0, 10), 0.1, RegularizerParams(0.3, 1.5)
+    m, u = theory._bracketed_start(uni, r, reg)
+    assert u > 1.0 / math.sqrt(uni.mean_inv_var)
+    assert u == pytest.approx(3.00002, rel=1e-5)
+    x, norm, why, _ = theory._newton(np.array([m, u]), uni, r, reg)
+    assert why is None and norm < 1e-10
+    sol = general_l1_solve(uni, r, reg)
+    assert x == pytest.approx([sol.lam - reg.eta1, math.sqrt(-2.0 * sol.q0_hat)], rel=1e-10)
+
+
 def test_large_short_penalty_approaches_ban():
     uni = AssetUniverse.constant(1.0, 1)
     r = 1.3
