@@ -1,10 +1,13 @@
 """Monte Carlo verification harness for the analytic theory.
 
 One trial draws an (N, T) panel of independent Gaussian returns with
-per-asset variances sigma_i^2 / N, forms the second-moment matrix
+per-asset variances sigma_i^2 / N, takes its second-moment matrix
 C = X X' / T (means are known to be zero, so nothing is centered), solves
 the requested finite-size optimizer under the budget sum(w) = N, and
-returns the solver's `QpResult`. `OBSERVABLES` declares each observable
+returns the solver's `QpResult`. Past r = 1 (T < N) the covariance holds
+the panel rather than C: an equality trial is then flat, and solved on
+the T x T Gram matrix X'X without forming C, while a no-short trial forms
+C once, as its solver reads it. `OBSERVABLES` declares each observable
 the theory predicts once: its value, a map from a trial's configuration
 and `QpResult`, its reduction over a grid point's trials, and the replica
 column it estimates. The fields of `PointSummary`, and the columns of
@@ -154,7 +157,10 @@ def generate_returns(cfg: TrialConfig) -> np.ndarray:
 
 
 def run_trial(cfg: TrialConfig) -> QpResult:
-    """Draw one panel, form C and return the optimizer's solve at budget N."""
+    """Draw one panel, take its covariance and return the optimizer's solve at budget N.
+
+    The covariance holds C, or the panel itself when T < N (see `CovMatrix`).
+    """
     n = cfg.universe.n
     cov = CovMatrix.from_returns(generate_returns(cfg))
     if cfg.constraint == "equality":

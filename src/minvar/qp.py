@@ -1,16 +1,22 @@
 """Finite-size minimum-variance optimizers: budget equality, optional w >= 0.
 
 Solves min w' C w subject to sum(w) = budget, and optionally w >= 0, for a
-dense PSD covariance C. A solver that needs a factor of C forms it, by a
-pivoted Cholesky decomposition truncated at its numerical rank (LAPACK
-dpstrf), and frees it on return: the covariance keeps only its matrix. The
-factor certifies rank for both solvers. The equality problem is two
-triangular solves on a full-rank factor. When C is singular and the budget
-plane meets its null space, the minimum is exactly zero, the solution is
-non-unique, and the reported weights are the minimum-norm representative,
-projected onto the null space that the factor's own blocks span and
-normalized by its own budget, with the degeneracy flagged rather than
-regularized away.
+dense PSD covariance C. A covariance built from a return panel X with
+fewer dates than assets, C = X X' / T with T < N, holds X instead of C and
+forms C on each read of `matrix`. A solver that needs a factor forms it,
+by a pivoted Cholesky decomposition truncated at its numerical rank
+(LAPACK dpstrf), and frees it on return. The factor certifies rank for
+both solvers. The equality problem is two triangular solves on a
+full-rank factor of C. When C is singular and the budget plane meets its
+null space, the minimum is exactly zero, the solution is non-unique, and
+the reported weights are the minimum-norm representative, projected onto
+the null space and normalized by its own budget, with the degeneracy
+flagged rather than regularized away. On a held panel that null space is
+the one of X', and the projection is read off a factor of the T x T Gram
+matrix X'X, in O(N T^2) and with no N x N matrix; C is formed only when
+the budget plane misses the null space. Otherwise it is read off the
+factor of C. Whether a part of 1 outside the range counts as zero is
+judged against a threshold that grows with the factor's pivot ratio.
 
 The nonnegative problem is Wolfe's min-norm-point algorithm written in
 weights (C = X X' / T makes w' C w the squared norm of a point in the
@@ -33,7 +39,8 @@ assets ahead of it enter, and the rest of the batch waits for the next
 gradient. If that asset leads the batch, it swaps weight with the member
 it can replace and enters in that member's stead, as a block of one.
 Each major step adds one block. Each gradient C w is one symmetric
-product that reads one triangle of C. The solve never factors C itself:
+product that reads one triangle of C, which the solve reads once from its
+covariance (forming it there from a held panel). It never factors C itself:
 a degenerate result says only that the optimum has zero variance, and
 `CovMatrix.rank` gives rank(C) to a caller who wants it.
 
@@ -65,25 +72,35 @@ __all__ = [
 ]
 
 # the pivoted Cholesky factor stops at the first squared pivot (a diagonal
-# entry of the remaining Schur complement) below RANK_RTOL * max_i C_ii; that
-# step count is the certified rank. An eigenvalue test at the same level
-# would agree except for eigenvalues within a small factor of the threshold.
+# entry of the remaining Schur complement) below RANK_RTOL times the largest
+# diagonal entry of the factored matrix (C, or X'X); that step count is the
+# certified rank. An eigenvalue test at the same level would agree except
+# for eigenvalues within a small factor of the threshold.
 RANK_RTOL = 1e-10
 # an objective at most ZERO_RTOL * trace(C)/N is a zero-variance (flat) optimum
 ZERO_RTOL = 1e-10
 # z, the part of 1 outside the range of a singular C, counts as zero when
-# |z|^2 <= FLAT_RTOL * N. The threshold weighs two errors. When 1 lies in
-# the range, rounding leaves |z|^2 / N growing with the condition number
-# kappa of C on its range. On 3000 panels of k < N distinct rows, each
-# repeated at random to N = 10..400 rows, over T in [k, 2k] dates, the
-# largest |z|^2 / N was 9e-29 at kappa < 1e3 (74% of them), 5e-25 at
-# kappa < 1e5 (97%) and 6e-22 overall; it passed the threshold from kappa
-# ~ 7e5 on, where such a panel reads as flat. The flat point b z / 1'z is
-# stationary to rounding for any z above that noise. The pseudo-inverse
-# point, used at and below the threshold, misses stationarity by
-# lam * max|z_i - mean(z)|, which is at most 1e-12 sqrt(N) lam there. So
-# the threshold sits just clear of the noise of a well-conditioned range.
+# |z|^2 <= N max(FLAT_RTOL, (FLAT_COND_RTOL rho)^2), where rho is the ratio
+# of the first to the last squared pivot of the factor z was read off (of
+# C, or of X'X on a held panel). The threshold weighs two errors. When 1
+# lies in the range, rounding leaves |z|^2 / N growing with the condition
+# number kappa of C on its range (the ratio of its extreme nonzero
+# eigenvalues), and rho tracks kappa. It was measured on 1345 panels of
+# k < N distinct Gaussian rows, each repeated at random to N = 10..200
+# rows, over T in [k, 2k] dates, with the rows' singular values spread by
+# up to 1e4, per-row sigma spread 0, 0.5 or 1, rank certified = k and
+# kappa up to 1e8; 951 had T < N. There rho / kappa lay in [6e-3, 3.4], and
+# the largest |z|^2 / N over (eps rho)^2 was 1.95 read off C and 1.2e-3
+# off X'X, whose z is projected twice (400 projected once). Below rho = 50,
+# where FLAT_RTOL holds, |z|^2 / N stayed under 1e-29. A flat point b z / 1'z is stationary to
+# rounding for any z above that noise. The pseudo-inverse point, used at
+# and below the threshold, misses stationarity by lam max|z_i - mean(z)|,
+# at most sqrt(N) lam max(1e-12, FLAT_COND_RTOL rho) there. So the
+# threshold sits clear of the noise, by 4e3 or more on those panels:
+# FLAT_RTOL at a well-conditioned range, FLAT_COND_RTOL (about 100 eps)
+# times rho from rho = 50 on.
 FLAT_RTOL = 1e-24
+FLAT_COND_RTOL = 2e-14
 # the Cython core under scipy's batching wrapper of qr_delete (see _Corral)
 _qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
 # a squared Cholesky pivot below PIVOT_RTOL * M_jj marks an asset inside the
@@ -108,25 +125,26 @@ PIVOT_RTOL = 1e-12
 ADD_BATCH = 8
 
 
-@dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Validated dense symmetric PSD matrix: one read-only N x N array.
+    """Validated dense symmetric PSD covariance C of N assets, read-only.
 
-    Its rank is certified by a pivoted Cholesky factor, which is formed per
-    solve (and per `rank` query) and not kept. The constructor takes an
-    outside array: it keeps one C-ordered float copy, which must be
-    nonempty, square, finite and symmetric to 1e-12, symmetrises it, and
-    checks its spectrum, since a pivoted Cholesky factor cannot tell an
-    indefinite matrix from a PSD one. `from_returns` builds the Gram matrix
-    of a return sample, PSD and symmetric by construction, so it skips the
-    spectrum. Both raise CovarianceError on bad input. Instances compare
-    and hash by identity, as the array has no single truth value.
+    It holds one read-only array: C itself, or, for the Gram matrix
+    C = X X' / T of a return panel with fewer dates than assets (T < N),
+    the (N, T) panel X. Then `n` and `tol_zero` read X, and each read of
+    `matrix` forms C afresh and keeps none of it. The rank of C is
+    certified by a pivoted Cholesky factor, which is formed per solve (and
+    per `rank` query) and not kept. The constructor takes an outside array:
+    it keeps one C-ordered float copy, which must be nonempty, square,
+    finite and symmetric to 1e-12, symmetrises it, and checks its spectrum,
+    since a pivoted Cholesky factor cannot tell an indefinite matrix from a
+    PSD one. `from_returns` takes a return sample, whose Gram matrix is PSD
+    and symmetric by construction, so it skips the spectrum. Both raise
+    CovarianceError on bad input. Instances compare and hash by identity,
+    as the array has no single truth value.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.matrix, dtype=float, order="C")  # the one owned copy
+    def __init__(self, matrix: np.ndarray):
+        c = np.array(matrix, dtype=float, order="C")  # the one owned copy
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
             raise CovarianceError("covariance must be a nonempty square matrix")
         if not np.isfinite(c).all():
@@ -149,19 +167,25 @@ class CovMatrix:
                 f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
             )
         c.flags.writeable = False
-        object.__setattr__(self, "matrix", c)
+        object.__setattr__(self, "_held", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CovMatrix is read-only")
 
     @classmethod
-    def _own(cls, m: np.ndarray) -> "CovMatrix":
-        """Wrap a square float array that no one else holds, without a copy."""
-        m.flags.writeable = False
+    def _own(cls, a: np.ndarray) -> "CovMatrix":
+        """Wrap C, or an (N, T) panel with T < N, that no one else holds, without a copy."""
+        a.flags.writeable = False
         cov = object.__new__(cls)
-        object.__setattr__(cov, "matrix", m)
+        object.__setattr__(cov, "_held", a)
         return cov
 
     @classmethod
     def from_returns(cls, x: np.ndarray) -> "CovMatrix":
-        """Second-moment matrix X X' / T of an (N, T) return sample."""
+        """Second-moment matrix X X' / T of an (N, T) return sample.
+
+        With T < N it keeps a C-ordered copy of X and forms no C.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise CovarianceError("returns must be an (N, T) array")
@@ -170,34 +194,66 @@ class CovMatrix:
             raise CovarianceError("need at least one asset")
         if t < 1:
             raise CovarianceError("need at least one observation")
-        # numpy runs x @ x.T on a C- or F-ordered x as a symmetric rank-k
-        # update (syrk) and mirrors the triangle, so c is exactly symmetric;
-        # a strided x would take a general product, so it is copied first
-        if not (x.flags.c_contiguous or x.flags.f_contiguous):
-            x = np.ascontiguousarray(x)
-        c = x @ x.T
-        c /= t
+        if t < n:
+            held = np.array(x, order="C")  # the one owned copy
+        else:
+            # a strided x would take a general product in _gram, so it is copied first
+            if not (x.flags.c_contiguous or x.flags.f_contiguous):
+                x = np.ascontiguousarray(x)
+            held = _gram(x)
+        cov = cls._own(held)
         # a finite trace means a finite matrix: a nan or inf return, or one
         # whose square overflows, makes its own diagonal entry non-finite,
         # and by Cauchy-Schwarz no partial sum of an off-diagonal entry of
-        # X X' exceeds the larger of its two diagonal entries in size. The
-        # solvers scale by trace/N, so a trace that overflows is refused too.
-        if not math.isfinite(float(np.trace(c))):
+        # X X' (or X'X) exceeds the larger of its two diagonal entries in
+        # size. The solvers scale by trace/N, so a trace that overflows is
+        # refused too.
+        if not math.isfinite(cov._trace):
             raise CovarianceError("returns must be finite, with finite squares")
-        return cls._own(c)
+        return cov
+
+    @property
+    def _panel(self) -> np.ndarray | None:
+        """The held (N, T) panel with T < N, or None when C itself is held."""
+        a = self._held
+        return a if a.shape[1] < a.shape[0] else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """C as one read-only N x N array; formed on each read when a panel is held."""
+        x = self._panel
+        return self._held if x is None else _gram(x)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._held.shape[0]
 
     @property
     def rank(self) -> int:
         return _factor(self.matrix)[2]
 
     @property
+    def _trace(self) -> float:
+        """trace(C); on a held panel X, the sum of squares of X over T."""
+        x = self._panel
+        return float(np.trace(self._held) if x is None else np.vdot(x, x) / x.shape[1])
+
+    @property
     def tol_zero(self) -> float:
         """Objective threshold at or under which the optimum counts as zero variance."""
-        return ZERO_RTOL * float(np.trace(self.matrix)) / self.n
+        return ZERO_RTOL * self._trace / self.n
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X X' / T of a C- or F-ordered (N, T) panel, as a new read-only array.
+
+    numpy runs x @ x.T on such an x as a symmetric rank-k update (syrk) and
+    mirrors the triangle, so the result is exactly symmetric.
+    """
+    c = x @ x.T
+    c /= x.shape[1]
+    c.flags.writeable = False
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +285,11 @@ class QpResult:
 
 
 def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(F, piv, rank): C[piv][:, piv] = L L' with L the lower trapezoid of F[:, :rank].
+    """(F, piv, rank): m[piv][:, piv] = L L' with L the lower trapezoid of F[:, :rank].
 
-    F is dpstrf's Fortran-ordered N x N output. Above the diagonal it keeps
-    entries of C, which the triangular solves never read.
+    m is an exactly symmetric PSD matrix (C, or X'X of a held panel). F is
+    dpstrf's Fortran-ordered output of its size. Above the diagonal it keeps
+    entries of m, which the triangular solves never read.
     """
     top = float(np.max(np.diagonal(m)))
     if top < 0.0:
@@ -242,26 +299,45 @@ def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return f, piv - 1, rank
 
 
-def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
-    """Minimize w' C w on the plane sum(w) = budget (default budget = N).
+def _flat(z: np.ndarray, l: np.ndarray, rank: int) -> bool:
+    """Whether z, read off the pivoted factor l of certified rank, is clear of rounding.
 
-    Full-rank C gives the classic precision-weighted solution, C^-1 1 from
-    two triangular solves on the pivoted Cholesky factor. If C is singular
-    and the budget plane meets its null space, the minimum is exactly zero
-    along an affine set. Its minimum-norm point is b z / 1'z, where z is the
-    projection of 1 onto the null space of C, read off the same factor
-    (1'z = |z|^2 in exact arithmetic; dividing by the computed 1'z makes
-    the budget exact). It is returned with `degenerate` set. When 1 lies in
-    the range of C, z is zero up to rounding and the solution is
-    b C^+ 1 / 1'C^+ 1; a z with |z|^2 <= FLAT_RTOL * N counts as zero. On
-    this and the full-rank path, `degenerate` marks an objective at most
-    `CovMatrix.tol_zero`. Raises ValueError on a budget that is not finite.
+    See FLAT_RTOL: the threshold grows with the squared pivot ratio of l.
     """
-    n = c.n
-    b = float(n if budget is None else budget)
-    if not math.isfinite(b):
-        raise ValueError("budget must be finite")
-    l, piv, rank = _factor(c.matrix)
+    ratio = (l[0, 0] / l[rank - 1, rank - 1]) ** 2 if rank else 1.0
+    return float(z @ z) > z.size * max(FLAT_RTOL, (FLAT_COND_RTOL * ratio) ** 2)
+
+
+def _flat_on_panel(x: np.ndarray, b: float) -> np.ndarray | None:
+    """The flat point b z / 1'z of C = X X' / T, or None if z counts as zero.
+
+    z is 1 less its projection onto the range of X, which the leading rank
+    pivot columns X1 of X span: with X1'X1 = L1 L1' from the pivoted factor
+    of the T x T Gram matrix X'X, z = 1 - X1 L1^-T L1^-1 X1' 1. Rounding of
+    the triangular solves leaves a part of z in that range, and a second
+    projection removes it.
+    """
+    t = x.shape[1]
+    l, piv, rank = _factor(x.T @ x)
+    lead = piv[:rank]
+    l1 = l[:, :rank]
+
+    def outside(v):
+        if not rank:  # X = 0, and dtrtrs refuses an empty L1
+            return v
+        y = dtrtrs(l1, (v @ x)[lead], lower=1)[0]
+        coef = np.zeros(t)
+        coef[lead] = dtrtrs(l1, y, lower=1, trans=1)[0]
+        return v - x @ coef
+
+    z = outside(outside(np.ones(x.shape[0])))
+    return (b / float(np.sum(z))) * z if _flat(z, l, rank) else None
+
+
+def _equality_on_matrix(cm: np.ndarray, b: float) -> tuple[np.ndarray, bool, float]:
+    """(w, flat, lam) of the equality problem, on the pivoted factor of C."""
+    n = cm.shape[0]
+    l, piv, rank = _factor(cm)
     ones = np.ones(n)  # the budget direction is invariant under the pivoting
     l1 = l[:, :rank]  # L1, read by dtrtrs as the rank x rank triangle on top
     flat = False
@@ -282,7 +358,7 @@ def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
             return np.concatenate((-(kt @ u), u))
 
         z = null_part(ones)
-        flat = float(z @ z) > FLAT_RTOL * n
+        flat = _flat(z, l, rank)
     if not flat:
         # x0 = [L1^-T y; 0] with y = L1^-1 1 solves C x0 = 1 when 1 is in the
         # range of C, and C^+ 1 is x0 less its part in the null space
@@ -295,14 +371,48 @@ def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
     x, s = (z, float(np.sum(z))) if flat else (x, float(y @ y))
     w = np.empty(n)
     w[piv] = (b / s) * x
-    obj = max(float(w @ c.matrix @ w), 0.0)
+    return w, flat, 0.0 if flat else 2.0 * b / s
+
+
+def min_variance_equality(c: CovMatrix, budget: float = None) -> QpResult:
+    """Minimize w' C w on the plane sum(w) = budget (default budget = N).
+
+    Full-rank C gives the classic precision-weighted solution, C^-1 1 from
+    two triangular solves on the pivoted Cholesky factor. If C is singular
+    and the budget plane meets its null space, the minimum is exactly zero
+    along an affine set. Its minimum-norm point is b z / 1'z, where z is the
+    projection of 1 onto the null space of C (1'z = |z|^2 in exact
+    arithmetic; dividing by the computed 1'z makes the budget exact). It is
+    returned with `degenerate` set and lam = 0. On a covariance that holds
+    its panel X (T < N), z is read off a factor of the T x T matrix X'X and
+    the objective is |X'w|^2 / T, so no N x N matrix is formed; only when z
+    counts as zero is C formed, and solved as below. Otherwise z is read
+    off the factor of C. When 1 lies in the range of C, z is zero up to
+    rounding and the solution is b C^+ 1 / 1'C^+ 1; z counts as zero below a
+    threshold that grows with the factor's pivot ratio (see FLAT_RTOL). On
+    this and the full-rank path, `degenerate` marks an objective at most
+    `CovMatrix.tol_zero`. Raises ValueError on a budget that is not finite.
+    """
+    n = c.n
+    b = float(n if budget is None else budget)
+    if not math.isfinite(b):
+        raise ValueError("budget must be finite")
+    x = c._panel
+    w = None if x is None else _flat_on_panel(x, b)
+    if w is None:
+        cm = c.matrix
+        w, flat, lam = _equality_on_matrix(cm, b)
+        obj = max(float(w @ cm @ w), 0.0)
+    else:
+        v = w @ x
+        obj, flat, lam = float(v @ v) / x.shape[1], True, 0.0
     return QpResult(
         weights=w,
         objective=obj,
         active_set=(),
         degenerate=flat or obj <= c.tol_zero,
         constraint="equality",
-        lam=0.0 if flat else 2.0 * b / s,
+        lam=lam,
     )
 
 

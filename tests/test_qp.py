@@ -28,7 +28,7 @@ from minvar import (
     true_optimum,
 )
 from minvar import qp
-from minvar.qp import FLAT_RTOL, RANK_RTOL
+from minvar.qp import FLAT_COND_RTOL, FLAT_RTOL, RANK_RTOL
 
 
 def rand_psd(rng, n, rank=None):
@@ -83,13 +83,15 @@ def test_constructor_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_from_returns_rejects_non_finite_samples(bad):
-    # 1e200 is finite, but its square overflows the diagonal of X X'
-    x = np.ones((3, 4))
-    x[1, 2] = bad
-    with np.errstate(over="ignore"), pytest.raises(CovarianceError):
-        CovMatrix.from_returns(x)
-    x[1, 2] = 1e150  # square 1e300: finite, and kept
-    assert np.isfinite(CovMatrix.from_returns(x).matrix).all()
+    # 1e200 is finite, but its square overflows the diagonal of X X'; the
+    # (4, 3) panel is held as it is, the (3, 4) one as X X' / T
+    for shape in ((3, 4), (4, 3)):
+        x = np.ones(shape)
+        x[1, 2] = bad
+        with np.errstate(over="ignore"), pytest.raises(CovarianceError):
+            CovMatrix.from_returns(x)
+        x[1, 2] = 1e150  # square 1e300: finite, and kept
+        assert np.isfinite(CovMatrix.from_returns(x).matrix).all()
 
 
 def test_from_returns_rejects_an_empty_panel():
@@ -156,21 +158,51 @@ def test_from_returns_peak_is_one_matrix(n, t):
     assert peak <= 1.25 * c.matrix.nbytes
 
 
+def _assert_holds_as_built(c, held):
+    # vars(c) is as `held` took it, each attribute the same object, and no
+    # N x N array is held beyond the covariance's own: none at all when it
+    # holds its panel
+    assert vars(c).keys() == held.keys()
+    assert all(vars(c)[k] is v for k, v in held.items())
+    squares = [a for a in held.values() if isinstance(a, np.ndarray) and a.shape == (c.n, c.n)]
+    assert len(squares) == (c._panel is None)
+
+
 @pytest.mark.parametrize("n, t", MEMORY_PANELS)
 @pytest.mark.parametrize("solve", [min_variance_equality, min_variance_noshort])
 def test_solvers_keep_nothing_on_a_held_covariance(solve, n, t):
     solve(CovMatrix.from_returns(_panel(20, t // 15)))  # warm LAPACK wrappers
-    c = CovMatrix.from_returns(_panel(n, t))
+    x = _panel(n, t)
+    for c in (CovMatrix.from_returns(x), CovMatrix(x @ x.T / t)):
+        held = dict(vars(c))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve(c, float(n))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert res.degenerate == (t < n)
+        assert kept < 0.1 * c.matrix.nbytes
+        _assert_holds_as_built(c, held)
+
+
+def test_flat_equality_solve_on_a_panel_forms_no_n_by_n_array():
+    # N = 2000, T = 20: C would take 32 MB, the panel 320 kB
+    n, t = 2000, 20
+    x = _panel(n, t)
+    min_variance_equality(CovMatrix.from_returns(_panel(40, 4)))  # warm LAPACK wrappers
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = solve(c, float(n))
-        kept = tracemalloc.get_traced_memory()[0] - base
+        c = CovMatrix.from_returns(x)
+        res = min_variance_equality(c, float(n))
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.degenerate == (t < n)
-    assert kept < 0.1 * c.matrix.nbytes
-    assert list(vars(c)) == ["matrix"]
+    assert res.degenerate and res.lam == 0.0
+    assert peak < n * n * 8 / 8
+    assert kkt_residual(c, res, float(n)) <= 1e-8
 
 
 def test_noshort_solve_never_factors_c(monkeypatch):
@@ -209,12 +241,13 @@ def _same_result(a, b):
 @pytest.mark.parametrize("solve", [min_variance_equality, min_variance_noshort])
 def test_repeated_solves_are_bit_identical(solve, n, t):
     c = CovMatrix.from_returns(_panel(n, t))
+    held = dict(vars(c))
     first = solve(c, float(n))
     again = solve(c, float(n))
     assert c.rank == min(n, t)
     after_rank = solve(c, float(n))
     assert _same_result(first, again) and _same_result(first, after_rank)
-    assert list(vars(c)) == ["matrix"]
+    _assert_holds_as_built(c, held)
 
 
 def test_drop_through_the_zero_q_matches_an_identity_q(monkeypatch):
@@ -379,8 +412,10 @@ def _eigh_equality(c, b):
     """Equality solver on a full eigendecomposition, as an independent oracle.
 
     Rank counts eigenvalues above RANK_RTOL * max eigenvalue; z, the part of
-    1 in the null space, counts as zero at |z|^2 <= FLAT_RTOL * N, as in the
-    solver. Returns (weights, rank, degenerate, lam).
+    1 in the null space, counts as zero at |z|^2 / N at most
+    max(FLAT_RTOL, (FLAT_COND_RTOL kappa)^2), kappa the ratio of the extreme
+    kept eigenvalues, where the solver takes its factor's pivot ratio.
+    Returns (weights, rank, degenerate, lam).
     """
     n = c.n
     vals, vecs = np.linalg.eigh(c.matrix)
@@ -401,7 +436,8 @@ def _eigh_equality(c, b):
         cv = (c.matrix.astype(np.longdouble) @ v0.astype(np.longdouble)).astype(float)
         v0 = v0 - vecs[:, keep] @ ((vecs[:, keep].T @ cv) / vals[keep][:, None])
         z = v0 @ (v0.T @ ones)
-        if float(z @ z) > FLAT_RTOL * n:
+        kappa = float(vals[-1] / vals[keep][0]) if rank else 1.0
+        if float(z @ z) > n * max(FLAT_RTOL, (FLAT_COND_RTOL * kappa) ** 2):
             return (b / float(np.sum(z))) * z, rank, True, 0.0
     y = np.where(keep, a / np.where(keep, vals, 1.0), 0.0)
     s = float(a[keep] @ y[keep])
@@ -410,18 +446,22 @@ def _eigh_equality(c, b):
     return w, rank, degen, 2.0 * b / s
 
 
-def _check_equality_against_oracle(c, b):
-    w_ref, rank, degen, lam = _eigh_equality(c, b)
-    res = min_variance_equality(c, b)
-    assert c.rank == rank
-    assert res.degenerate == degen
+def _weight_tolerance(w_ref, b):
     # A flat point b z / 1'z with a small z is ill-conditioned: rounding of
     # order eps in C or z moves it by about eps / |z| relative, and its
     # weights grow like b / |z|. So the weight tolerance grows with
     # max|w| / max(1, b), and the budget and KKT bounds with max|w|.
     scale = float(np.max(np.abs(w_ref)))
-    cond = max(1.0, scale / max(1.0, abs(b)))
-    assert float(np.max(np.abs(res.weights - w_ref))) <= 1e-9 * scale * cond
+    return 1e-9 * scale * max(1.0, scale / max(1.0, abs(b))), scale
+
+
+def _check_equality_against_oracle(c, b):
+    w_ref, rank, degen, lam = _eigh_equality(c, b)
+    res = min_variance_equality(c, b)
+    assert c.rank == rank
+    assert res.degenerate == degen
+    tol, scale = _weight_tolerance(w_ref, b)
+    assert float(np.max(np.abs(res.weights - w_ref))) <= tol
     assert res.lam == pytest.approx(lam, rel=1e-9, abs=0.0)
     assert kkt_residual(c, res, b) <= 1e-8 * max(1.0, scale)
     return res
@@ -510,6 +550,108 @@ def test_equality_n400_kkt_flat_directions_and_oracle(r):
         assert res.degenerate == (t < n)
         if t < n:
             assert c.rank == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    t=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+    repeat_date=st.booleans(),
+    sigma_spread=st.floats(0.0, 1.0),
+    budget=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+)
+@example(n=6, t=1, seed=1, duplicate=False, repeat_date=False, sigma_spread=0.5, budget=2.0)
+@example(n=10, t=9, seed=0, duplicate=True, repeat_date=False, sigma_spread=1e-8, budget=2.0)
+@example(n=3, t=2, seed=0, duplicate=True, repeat_date=False, sigma_spread=0.0, budget=1.0)
+@example(n=8, t=5, seed=2, duplicate=True, repeat_date=True, sigma_spread=0.0, budget=1.0)
+def test_equality_panel_path_matches_the_matrix_path(
+    n, t, seed, duplicate, repeat_date, sigma_spread, budget
+):
+    # T < N: from_returns holds the panel and solves on X'X; the same C
+    # given as a matrix is solved on its own factor. A duplicate (or
+    # near-duplicate, scaled) asset row can put 1 in the range of C, a
+    # repeated date makes X'X singular, T = 1 makes C rank one.
+    assume(t < n)
+    x = _panel_returns(n, t, seed, duplicate, sigma_spread)
+    if repeat_date and t >= 2:
+        x[:, t - 1] = x[:, 0]
+    held, given = CovMatrix.from_returns(x), CovMatrix(x @ x.T / t)
+    assert held._panel is not None and given._panel is None
+    assert np.array_equal(held.matrix, given.matrix)
+    vals = np.linalg.eigvalsh(given.matrix)
+    top = float(vals[-1])
+    assume(np.all((vals < 1e-13 * top) | (vals > 1e-6 * top)))
+    a, m = min_variance_equality(held, budget), min_variance_equality(given, budget)
+    tol, _ = _weight_tolerance(_eigh_equality(given, budget)[0], budget)
+    assert a.degenerate == m.degenerate
+    assert float(np.max(np.abs(a.weights - m.weights))) <= tol
+    # a flat point has lam = 0 on both paths, and any other point on the
+    # panel path is the matrix path's, on the same C
+    assert a.lam == m.lam
+
+
+def _duplicate_rows(seed, k, t, copies, decades):
+    """k independent Gaussian rows of t dates, then copies of its first `copies` rows.
+
+    With decades > 0 the rows' singular values are replaced by a geometric
+    sequence from 1 down to 10^-decades, so that C is ill-conditioned on
+    its range, by up to 10^(2 decades) times the spread of the row counts.
+    """
+    d = np.random.default_rng(seed).standard_normal((k, t))
+    if decades:
+        u, _, vt = np.linalg.svd(d, full_matrices=False)
+        d = (u * np.logspace(0, -decades, k)) @ vt
+    return np.vstack([d, d[np.arange(copies) % k]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 10),
+    extra=st.integers(0, 9),
+    copies=st.integers(1, 10),
+    decades=st.floats(0.0, 4.0),
+    budget=st.floats(0.5, 3.0),
+)
+# N = 11, rank 10, kappa 1.8e6: read as flat with weights ~1e12 by a flat
+# test that did not scale with the pivot ratio
+@example(seed=104, k=10, extra=0, copies=1, decades=0.0, budget=11.0)
+def test_equality_is_not_flat_on_ill_conditioned_duplicate_rows(
+    seed, k, extra, copies, decades, budget
+):
+    # Every row copies one of k independent rows of T >= k dates, so 1 lies
+    # in the range of C and the optimum is not flat, however ill-conditioned
+    # C is on its range. T < N = k + copies, so from_returns holds the panel.
+    t = k + extra % copies
+    x = _duplicate_rows(seed, k, t, copies, decades)
+    given = CovMatrix(x @ x.T / t)
+    vals = np.linalg.eigvalsh(given.matrix)
+    kappa = float(vals[-1] / vals[-k])
+    assume(kappa <= 1e8)
+    w_ref, rank, degen, lam = _eigh_equality(given, budget)
+    assert rank == k and not degen
+    # the factor and eigh each lose about eps kappa relative to the
+    # conditioning of C on its range, 2e-8 at kappa = 1e8
+    rel = 1e-9 + 1e-15 * kappa
+    tol, scale = _weight_tolerance(w_ref, budget)
+    for c in (CovMatrix.from_returns(x), given):
+        res = min_variance_equality(c, budget)
+        assert not res.degenerate and c.rank == k
+        assert float(np.max(np.abs(res.weights - w_ref))) <= max(tol, rel * scale)
+        assert res.lam == pytest.approx(lam, rel=rel, abs=0.0)
+        assert kkt_residual(c, res, budget) <= 1e-8 * max(1.0, scale)
+
+
+def test_equality_rng104_duplicate_row_panel_matches_the_oracle():
+    # the panel of the example above at its budget N = 11, held to the
+    # oracle's 1e-9 on lam through both constructors
+    x = _duplicate_rows(104, 10, 10, 1, 0.0)
+    for c in (CovMatrix.from_returns(x), CovMatrix(x @ x.T / 10)):
+        res = _check_equality_against_oracle(c, 11.0)
+        assert not res.degenerate and res.lam == pytest.approx(1.19e-4, rel=1e-2)
+        assert kkt_residual(c, res, 11.0) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +794,17 @@ def test_kkt_residual_detects_perturbation():
     assert kkt_residual(c, empty, 0.0) == 0.0
 
 
-def _panel_cov(n, t, seed, duplicate, sigma_spread):
+def _panel_returns(n, t, seed, duplicate, sigma_spread):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, t))
     if duplicate and n >= 2:
         x[n - 1] = x[0]
     x *= np.exp(sigma_spread * rng.standard_normal(n))[:, None]
-    return CovMatrix.from_returns(x)
+    return x
+
+
+def _panel_cov(n, t, seed, duplicate, sigma_spread):
+    return CovMatrix.from_returns(_panel_returns(n, t, seed, duplicate, sigma_spread))
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,9 @@ It writes, through `minvar.cli.main`:
     on the same universe, the one route of `general_l1_solve` that no
     corner table reaches;
   * one no-short and one equality `simulate` at N = 50;
+  * an equality `simulate` at N = 400 (r = 0.5, 1.5, 2.5, two trials
+    each), at the benchmark's scale, whose flat trials (T < N) are solved
+    on their panels;
   * a no-short `simulate` at N = 400 (r = 1, 1.9, 2.5, two trials each),
     whose corrals of a few hundred assets exercise the drops and ratio
     ties that N = 50 barely reaches, and the same call with `--threads 2`,
@@ -74,6 +77,9 @@ TABLES = {
     "simulate-equality-n50.csv": ("simulate", "--constraint", "equality", "--n", "50",
                                   "--r-grid", "0.5,0.9,1.5", "--trials", "20",
                                   "--seed", "3"),
+    "simulate-equality-n400.csv": ("simulate", "--constraint", "equality", "--n", "400",
+                                   "--r-grid", "0.5,1.5,2.5", "--trials", "2",
+                                   "--seed", "3"),
     "phase-n50.csv": ("phase", "--n", "50", "--r-grid", "1.5,1.9,2.5", "--trials", "20",
                       "--seed", "3"),
     "compare-simulate-n50.csv": ("simulate", "--n", "50", "--r-grid", "0.5,1,1.25",
